@@ -13,6 +13,15 @@ time-per-iteration against dense work-cells between the bottom and top
 rungs.  Gate: ``slope < 1.0`` -- a slope creeping back to 1.0 means the
 per-commodity dispatch handicap returned.
 
+Each rung's time per iteration is the median of ``BLOCKS`` timed blocks of
+``ITERATIONS`` iterations, taken after ``WARMUP`` untimed steps.  The
+rungs' blocks alternate, so drift on a shared host lands on every rung
+alike instead of on whichever rung happened to run during it.  One timed
+pass of 15 iterations per rung was not enough on a 2-vCPU x86-64 VM: six
+smoke runs gave slopes from -0.22 to 0.11, four of them failing the
+``slope > 0`` check, where six runs of this blocked timing on the same
+code gave 0.12 to 0.17.
+
 Bit-identity with the object core rides along: the 40-node Figure-4
 workload and a 120-node reference instance run through
 ``DifferentialOracle.compare_cores`` (every iterate must match bit for
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 import math
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -49,7 +59,9 @@ SMOKE = os.environ.get("SCALE_SMOKE", "") == "1"
 
 # (num_nodes, num_commodities) rungs; smoke keeps two affordable ones
 RUNGS = [(120, 4), (250, 8)] if SMOKE else [(250, 8), (1000, 16), (4000, 32)]
-ITERATIONS = 15 if SMOKE else 30
+WARMUP = 20  # untimed steps per rung: lazy plans, ModelState, first moves
+BLOCKS = 9  # timed blocks per rung, alternating between the rungs
+ITERATIONS = 30  # iterations per timed block
 LADDER_SEED = 29
 MAX_SLOPE = 1.0
 ORACLE_ITERATIONS = 120
@@ -78,26 +90,45 @@ def _reference_120() -> RandomNetworkSpec:
     )
 
 
-def _time_rung(num_nodes: int, num_commodities: int):
-    """Per-iteration seconds of the production pipeline on one rung."""
-    network = random_stream_network(
-        _ladder_spec(num_nodes, num_commodities), seed=LADDER_SEED
-    )
-    ext = build_extended_network(network)
-    algo = GradientAlgorithm(ext, GradientConfig(eta=0.02))
-    routing = initial_routing(ext)
-    context = algo.compute_context(routing)
-    # warm the lazy plans (level compilation, ModelState construction)
-    for _ in range(2):
-        routing = algo.step(routing, context=context)
-        context = algo.compute_context(routing)
-    start = time.perf_counter()
-    for _ in range(ITERATIONS):
-        routing = algo.step(routing, context=context)
-        context = algo.compute_context(routing)
-    elapsed = time.perf_counter() - start
-    cells = ext.num_commodities * (ext.num_edges + ext.num_nodes)
-    return elapsed / ITERATIONS, cells, ext
+class _Rung:
+    """One rung's production pipeline, advanced a block at a time."""
+
+    def __init__(self, num_nodes: int, num_commodities: int) -> None:
+        network = random_stream_network(
+            _ladder_spec(num_nodes, num_commodities), seed=LADDER_SEED
+        )
+        self.ext = build_extended_network(network)
+        self.cells = self.ext.num_commodities * (
+            self.ext.num_edges + self.ext.num_nodes
+        )
+        self.algo = GradientAlgorithm(self.ext, GradientConfig(eta=0.02))
+        self.routing = initial_routing(self.ext)
+        self.context = self.algo.compute_context(self.routing)
+        self.seconds_per_iteration = []
+
+    def advance(self, iterations: int) -> None:
+        for _ in range(iterations):
+            self.routing = self.algo.step(self.routing, context=self.context)
+            self.context = self.algo.compute_context(self.routing)
+
+    def time_block(self) -> None:
+        start = time.perf_counter()
+        self.advance(ITERATIONS)
+        self.seconds_per_iteration.append((time.perf_counter() - start) / ITERATIONS)
+
+
+def _time_ladder():
+    """``(seconds per iteration, cells, ext)`` of every rung."""
+    rungs = [_Rung(n, j) for n, j in RUNGS]
+    for rung in rungs:
+        rung.advance(WARMUP)
+    for _ in range(BLOCKS):
+        for rung in rungs:
+            rung.time_block()
+    return [
+        (statistics.median(rung.seconds_per_iteration), rung.cells, rung.ext)
+        for rung in rungs
+    ]
 
 
 def test_scale_ladder(benchmark):
@@ -111,10 +142,7 @@ def test_scale_ladder(benchmark):
     )
     assert rand120.bit_identical and rand120.passed, rand120.summary()
 
-    def run_ladder():
-        return [_time_rung(n, j) for n, j in RUNGS]
-
-    results = benchmark.pedantic(run_ladder, rounds=1, iterations=1)
+    results = benchmark.pedantic(_time_ladder, rounds=1, iterations=1)
 
     (t_lo, cells_lo, _), (t_hi, cells_hi, _) = results[0], results[-1]
     slope = math.log(t_hi / t_lo) / math.log(cells_hi / cells_lo)
@@ -125,8 +153,8 @@ def test_scale_ladder(benchmark):
     table.add_row("slope(t vs cells)", "", "", f"{slope:.3f}")
     emit(
         "TAB-SCALE-LADDER: per-iteration time vs dense work-cells "
-        f"({'smoke rungs' if SMOKE else 'full ladder'}, "
-        f"{ITERATIONS} timed iterations per rung)",
+        f"({'smoke rungs' if SMOKE else 'full ladder'}, median of {BLOCKS} "
+        f"alternating blocks of {ITERATIONS} iterations after {WARMUP} warm-up)",
         table.render(),
     )
 
@@ -145,6 +173,8 @@ def test_scale_ladder(benchmark):
         bench="TAB-SCALE-LADDER",
         rungs=[list(r) for r in RUNGS],
         iterations=ITERATIONS,
+        blocks=BLOCKS,
+        warmup=WARMUP,
         smoke=SMOKE,
     )
 

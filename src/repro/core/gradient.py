@@ -164,9 +164,12 @@ def apply_gamma_batch(
 
     Bit identical to calling :func:`apply_gamma_at_node` at each node of
     ``plan`` (the sync/distributed equivalence tests pin this): every float
-    operation mirrors the scalar kernel's, and all per-node sums accumulate
-    left to right via a loop over the (small, padded) out-edge columns.
-    Nodes update disjoint out-edge sets, so batching over them is exact.
+    operation mirrors the scalar kernel's, and every per-node sum is an
+    ``np.bincount`` over the node's cells, which adds them left to right
+    from ``+0.0`` like the scalar accumulator.  The pass runs over the
+    plan's valid cells only (``plan.targets``, row-major), never over the
+    padded matrix.  Nodes update disjoint out-edge sets, so batching over
+    them is exact.
 
     Parameters mirror :func:`apply_gamma_at_node`, with ``plan`` replacing
     the per-node ``out`` list and ``traffic_row`` carrying ``t_i(j)`` for
@@ -174,91 +177,92 @@ def apply_gamma_batch(
     """
     if plan.nodes.size == 0:
         return
-    edge_matrix = plan.edge_matrix
-    valid = plan.valid
-    num_nodes, width = edge_matrix.shape
-    rows = plan.rows
+    targets = plan.targets
+    cell_rows = plan.cell_rows
+    starts = plan.row_starts
+    num_rows = plan.nodes.size
+    num_cells = targets.size
 
-    # padding cells (valid == False) gather garbage from index 0; every read
-    # below is masked by ``valid``/``eligible``/``apply`` before it matters,
-    # and the write-back only copies the valid cells out again
-    phi = phi_row[edge_matrix]
-    delta2d = delta[edge_matrix]
+    phi = phi_row[targets]
+    delta_c = delta[targets]
     if blocked is None:
-        # every plan row is a branch node (>= 2 valid out-edges), so with no
-        # blocking nothing can make a row ineligible
-        eligible = valid
-        has_eligible = None
+        # every plan row is a branch node (>= 2 cells), so with no blocking
+        # nothing can make a row ineligible
+        eligible = None
+        keyed = delta_c
     else:
-        eligible = valid & ~blocked[edge_matrix]
-        has_eligible = eligible.any(axis=1)
-        if not has_eligible.any():
+        eligible = ~blocked[targets]
+        if not eligible.any():
             return
+        keyed = np.where(eligible, delta_c, np.inf)
 
-    # first eligible edge attaining the eligible minimum (scalar argmin order)
-    keyed = np.where(eligible, delta2d, np.inf)
-    best_col = np.argmin(keyed, axis=1)
-    ok = eligible[rows, best_col]
-    if not ok.all():
-        # a row whose eligible deltas are all inf (or with nothing eligible)
-        # can argmin to an ineligible column; snap to the first eligible one
-        best_col = np.where(ok, best_col, np.argmax(eligible, axis=1))
+    # the scalar argmin's pick: the first eligible cell attaining the row
+    # minimum.  A NaN row picks its first NaN, and a row whose eligible
+    # deltas are all +inf its first eligible cell; a row with nothing
+    # eligible has no hit and falls back to its first cell.  A minimum is
+    # exact, so the unordered ``ufunc.at`` cannot change a bit
+    row_min = np.full(num_rows, np.inf)
+    np.minimum.at(row_min, cell_rows, keyed)
+    hit = (keyed == row_min[cell_rows]) | np.isnan(keyed)
+    if eligible is not None:
+        hit &= eligible
+    hits = np.flatnonzero(hit)
+    best = np.full(num_rows, num_cells)
+    np.minimum.at(best, cell_rows[hits], hits)
     t_i = traffic_row[plan.nodes]
-    if has_eligible is None:
-        best_delta = keyed[rows, best_col]
+    if eligible is None:
+        best_delta = keyed[best]
         idle = t_i <= traffic_tol
         active = ~idle
     else:
+        has_eligible = best < num_cells
+        best = np.where(has_eligible, best, starts)
         # rows with nothing eligible keep their fractions; zero their (unused)
         # best delta so the subtraction below never forms inf - inf
-        best_delta = np.where(has_eligible, keyed[rows, best_col], 0.0)
+        best_delta = np.where(has_eligible, keyed[best], 0.0)
         idle = has_eligible & (t_i <= traffic_tol)
         active = has_eligible & ~idle
 
     if active.any():
         t_safe = np.where(t_i > 0.0, t_i, 1.0)
-        a_2d = delta2d - best_delta[:, None]
-        reduction = np.minimum(phi, (eta * a_2d) / t_safe[:, None])
-        apply = (
-            active[:, None] & eligible & (phi != 0.0) & (reduction > 0.0)
-        )
-        apply[rows, best_col] = False  # the best edge only ever gains
+        step = (eta * (delta_c - best_delta[cell_rows])) / t_safe[cell_rows]
+        # the scalar's min(frac, step): step only when strictly smaller, so a
+        # NaN step (an all-+inf row's inf - inf) keeps frac like the scalar
+        reduction = np.where(step < phi, step, phi)
+        apply = active[cell_rows] & (phi != 0.0) & (reduction > 0.0)
+        if eligible is not None:
+            apply &= eligible
+        apply[best] = False  # the best edge only ever gains
         reduction = np.where(apply, reduction, 0.0)
         phi = phi - reduction  # x - 0.0 == x bitwise for the masked cells
-        moved = np.zeros(num_nodes, dtype=float)
-        for col in range(width):  # left-to-right, like the scalar accumulator
-            moved += reduction[:, col]
-        phi[rows, best_col] += moved  # already +0.0 on every inactive row
+        moved = np.bincount(cell_rows, reduction, num_rows)
+        phi[best] += moved  # already +0.0 on every inactive row
 
         # eligible-only drift renormalization (scalar kernel's exact sums)
-        free = np.zeros(num_nodes, dtype=float)
-        phi_free = np.where(eligible, phi, 0.0)
-        for col in range(width):
-            free += phi_free[:, col]
-        if blocked is None:
+        if eligible is None:
             # nothing is frozen: free + 0.0 == free and 1.0 - 0.0 == 1.0
             # bitwise, so the frozen sums drop out of the scalar's formulas
+            free = np.bincount(cell_rows, phi, num_rows)
             total = free
             numer = 1.0
         else:
-            frozen = np.zeros(num_nodes, dtype=float)
-            phi_frozen = np.where(valid & ~eligible, phi, 0.0)
-            for col in range(width):
-                frozen += phi_frozen[:, col]
+            free = np.bincount(cell_rows, np.where(eligible, phi, 0.0), num_rows)
+            frozen = np.bincount(cell_rows, np.where(eligible, 0.0, phi), num_rows)
             total = free + frozen
             numer = 1.0 - frozen
         need = active & (free > 0.0) & (np.abs(total - 1.0) > 1e-12)
         if need.any():
             scale = numer / np.where(free > 0.0, free, 1.0)
-            phi = np.where(
-                need[:, None] & eligible, phi * scale[:, None], phi
-            )
+            rescale = need[cell_rows]
+            if eligible is not None:
+                rescale &= eligible
+            phi = np.where(rescale, phi * scale[cell_rows], phi)
 
     if idle.any():
-        phi[idle] = 0.0
-        phi[idle, best_col[idle]] = 1.0
+        phi[idle[cell_rows]] = 0.0
+        phi[best[idle]] = 1.0
 
-    phi_row[plan.targets] = phi[valid]
+    phi_row[targets] = phi
 
 
 @dataclass

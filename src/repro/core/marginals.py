@@ -258,9 +258,10 @@ def all_marginal_costs(
     index spaces are disjoint, so a single ordered scatter per level yields
     each row bit-identical to :func:`marginal_cost_to_destination`.
 
-    Under the array core (the default) the wave runs as CSR mat-vec sweeps
-    over :class:`repro.core.state.ModelState`'s height levels -- same
-    contributions in the same order, still bit identical.
+    Under the array core (the default) the wave runs as ordered
+    ``np.bincount`` sweeps over :class:`repro.core.state.ModelState`'s
+    height levels -- same contributions in the same order, still bit
+    identical.
     """
     phi_flat = routing.phi.reshape(-1)
     if use_array_core():

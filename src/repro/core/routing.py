@@ -186,9 +186,10 @@ def solve_traffic(ext: ExtendedNetwork, routing: RoutingState) -> np.ndarray:
     identical to :func:`solve_traffic_scalar` -- the property tests pin this.
 
     When the array core is active (the default, see
-    :mod:`repro.core.state`) the levels instead run as CSR mat-vec sweeps
-    of the cached :class:`~repro.core.state.ModelState`, which visits the
-    same contributions in the same order -- still bit identical, pinned by
+    :mod:`repro.core.state`) the levels instead run as ordered
+    ``np.bincount`` sweeps of the cached
+    :class:`~repro.core.state.ModelState`, which add the same contributions
+    in the same order -- still bit identical, pinned by
     ``DifferentialOracle.compare_cores``.
     """
     phi_flat = routing.phi.reshape(-1)

@@ -10,40 +10,49 @@ grow only like ``O(J)``: the dense core is asymptotically quadratic in a
 linear-sized problem.
 
 :class:`ModelState` stores the hot state commodity-major and flat --
-node ``j*V + v``, edge ``j*E + e`` -- behind ``scipy.sparse`` CSR
-structure, so the flow balance (eq. (3)), the marginal-cost wave
-(eqs. (9)-(11)) and the resource-usage sum (eq. (4)) all become sparse
-mat-vec sweeps over the ``P`` allowed cells with no per-edge (and no
-per-commodity) Python in the inner loop.
+node ``j*V + v``, edge ``j*E + e`` -- so the flow balance (eq. (3)), the
+marginal-cost wave (eqs. (9)-(11)) and the resource-usage sum (eq. (4))
+all become ordered ``np.bincount`` sweeps over the ``P`` allowed cells
+with no per-edge (and no per-commodity) Python in the inner loop.
 
 Bit-identity with the object core
 ---------------------------------
 
 The scalar reference accumulates floating-point sums in a specific order,
 and float addition is not associative, so "mathematically equal" is not
-enough -- this repo pins *bit* identity across every engine.  The CSR
-sweeps reproduce the scalar order exactly:
+enough -- this repo pins *bit* identity across every engine.  Every sweep
+here is ``np.bincount(rows, contrib, n)``: each entry carries an integer
+``rows`` id naming its output bin, and ``bincount`` adds the weights into
+their bins one by one in input order, each bin starting from ``+0.0`` --
+the ``((0 + c1) + c2) + ...`` association of the scalar walk, provided the
+entries are listed in scalar order:
 
 * **Forward wave.**  Edges are levelled by the *longest-path depth of
   their head*, so every in-edge of a node lands in one level and the
   node's traffic is written exactly once.  Within a level, entries are
-  ordered by ``(j, scalar visitation position)``; the per-head sum is a
-  CSR row-sum, and ``scipy``'s ``csr_matvec`` accumulates the stored
-  entries sequentially from a zero accumulator -- the same
-  ``((0 + c1) + c2) + ...`` association as the scalar walk, because every
-  head's external input is zero (only dummy sources receive input and
-  they have no in-edges).  Skipped zero contributions add exact ``+0.0``
-  over non-negative partial sums, the same argument the merged level
-  plans already rely on.
+  ordered by ``(j, scalar visitation position)``, which is the scalar
+  in-edge order of every head.  Every head's external input is zero (only
+  dummy sources receive input and they have no in-edges), so starting the
+  bin from zero loses nothing.  Skipped zero contributions add exact
+  ``+0.0`` over non-negative partial sums, the same argument the merged
+  level plans already rely on.
 * **Reverse wave.**  Nodes are levelled by longest-path height above the
-  sink; each node's ``dA/dr`` is one CSR row-sum over its out-edges in
+  sink; each node's ``dA/dr`` is one bin over its out-edges in
   ``commodity_out_edges`` order -- the scalar gather's exact order, from
-  the same zero accumulator.
-* **Usage.**  Cells are ordered ``(j, e)``; the per-edge CSR row then
-  sums commodities in ascending ``j``, which is precisely the sequential
-  axis-0 ``np.add.reduce`` association of the dense path (off-graph dense
-  terms are exact ``+0.0``).  ``cost * (t * phi)`` against the dense
-  ``(t * phi) * cost`` is a bitwise-commutative multiply.
+  the same zero start.
+* **Usage.**  Cells are ordered ``(j, e)``, so the bin of edge ``e``
+  receives its commodity cells in ascending ``j`` -- precisely the
+  sequential axis-0 ``np.add.reduce`` association of the dense path
+  (off-graph dense terms are exact ``+0.0``) -- and each cell's weight is
+  the dense path's ``(t * phi) * cost`` product.  Node usage bins the edge
+  usages by tail in edge order, as the dense path's ordered ``np.add.at``.
+
+A segmented ``np.add.reduce`` / ``np.add.reduceat`` would *not* do.
+``reduce`` sums a contiguous run of 8 or more terms pairwise, and
+``reduceat`` adds a segment's first term to the sum of the rest,
+``c1 + (c2 + c3)``; both drift on the wide rows of the ladder rungs
+(fan-in 18, ``Gamma`` width 17 at 1000 nodes), which is why the kernel
+tests carry a fan-in-11 instance.
 
 The oracle (``repro.validate.DifferentialOracle.compare_cores``) and the
 property tests pin all of this on real and randomized instances.
@@ -62,9 +71,12 @@ Sharding
 Because all hot arrays are commodity-major and levels store their entries
 sorted by commodity, a parallel shard over commodities ``[lo, hi)`` is a
 *contiguous row-block*: :meth:`ModelState.block` precomputes the level
-slices once and the block kernels run the same sparse sweeps restricted
-to the block -- this is what collapses the ~3x per-commodity dispatch
-handicap of the sharded backends (docs/parallelism.md).
+slices once and the block kernels run the same sweeps restricted to the
+block -- this is what collapses the ~3x per-commodity dispatch handicap of
+the sharded backends (docs/parallelism.md).  Usage is the one sum that
+crosses commodities, so it has no block kernel: the backends run the
+full-width :meth:`ModelState.resource_usage` once every shard's traffic
+rows have landed.
 """
 
 from __future__ import annotations
@@ -74,7 +86,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.transform import CommodityGammaPlan, ExtendedNetwork
 
@@ -115,21 +126,22 @@ class WaveLevel:
     """One depth level of a flattened cross-commodity wave.
 
     ``nodes`` are the level's scatter targets (flat ids, ascending, hence
-    grouped by commodity); ``S`` is the selection CSR summing the level's
-    entry contributions into them in exact scalar order.  ``entry_starts``
-    / ``node_starts`` are ``(J + 1,)`` commodity boundaries into the entry
-    arrays / ``nodes``, which is what makes a commodity range a contiguous
-    slice of every array here.
+    grouped by commodity); ``rows`` names each entry's target as a position
+    in ``nodes``, so ``np.bincount(rows, contrib, nodes.size)`` sums the
+    level's entry contributions into them in exact scalar order.
+    ``entry_starts`` / ``node_starts`` are ``(J + 1,)`` commodity
+    boundaries into the entry arrays / ``nodes``, which is what makes a
+    commodity range a contiguous slice of every array here.
     """
 
     nodes: np.ndarray  # (n,) flat node ids (j*V + v), ascending
+    rows: np.ndarray  # (p,) position of each entry's target in ``nodes``
     edges: np.ndarray  # (p,) flat edge ids (j*E + e), (j, pos) order
     raw: np.ndarray  # (p,) plain edge ids
     tails: np.ndarray  # (p,) flat tail node ids
     heads: np.ndarray  # (p,) flat head node ids
     gains: np.ndarray  # (p,) gain[j, e]
     costs: np.ndarray  # (p,) cost[j, e]
-    S: sp.csr_matrix  # (n, p) selection matrix, data == 1.0
     cell_pos: np.ndarray  # (p,) position of each entry in the cell list
     entry_starts: np.ndarray  # (J + 1,) commodity slices into entries
     node_starts: np.ndarray  # (J + 1,) commodity slices into nodes
@@ -139,10 +151,10 @@ class WaveLevel:
 class BlockPlans:
     """Precomputed restriction of a :class:`ModelState` to rows ``[lo, hi)``.
 
-    The per-level tuples hold ``(nodes, edges, raw, tails, heads, gains,
-    costs, S, cell_pos)`` views sliced to the block; ``gamma_plan`` is the
-    contiguous row-block of the merged Gamma plan (``None`` when the block
-    has no branch nodes).
+    The per-level tuples hold ``(nodes, rows, edges, raw, tails, heads,
+    gains, costs, cell_pos)`` sliced to the block, ``rows`` rebased onto the
+    block's ``nodes``; ``gamma_plan`` is the contiguous row-block of the
+    merged Gamma plan (``None`` when the block has no branch nodes).
     """
 
     lo: int
@@ -151,7 +163,6 @@ class BlockPlans:
     reverse: Tuple[tuple, ...]
     cell_lo: int
     cell_hi: int
-    usage_S: sp.csr_matrix  # (E, cell_hi - cell_lo)
     gamma_plan: Optional[CommodityGammaPlan]
 
 
@@ -163,42 +174,6 @@ def _level_split(keys: np.ndarray) -> List[Tuple[int, int]]:
     starts = np.concatenate(([0], boundaries))
     ends = np.concatenate((boundaries, [keys.size]))
     return list(zip(starts.tolist(), ends.tolist()))
-
-
-def _selection_csr(
-    targets: np.ndarray, groups: np.ndarray, data: Optional[np.ndarray] = None
-) -> sp.csr_matrix:
-    """CSR summing entry ``p`` into row ``searchsorted(groups, targets[p])``.
-
-    ``groups`` must be sorted unique.  Column ``p`` is the entry position,
-    so ``tocsr``'s (row, col) ordering stores each row's entries in entry
-    order -- which the callers arrange to be the scalar visitation order.
-    """
-    n = targets.size
-    rows = np.searchsorted(groups, targets)
-    values = np.ones(n, dtype=float) if data is None else np.asarray(data, dtype=float)
-    matrix = sp.csr_matrix(
-        (values, (rows, np.arange(n, dtype=np.intp))),
-        shape=(groups.size, n),
-    )
-    matrix.sort_indices()
-    return matrix
-
-
-def _csr_row_col_block(
-    S: sp.csr_matrix, r0: int, r1: int, c0: int, c1: int
-) -> sp.csr_matrix:
-    """The ``S[r0:r1, c0:c1]`` block, assuming those rows only touch those
-    columns (true by construction for commodity row-blocks)."""
-    p0, p1 = int(S.indptr[r0]), int(S.indptr[r1])
-    return sp.csr_matrix(
-        (
-            S.data[p0:p1],
-            S.indices[p0:p1] - c0,
-            S.indptr[r0 : r1 + 1] - p0,
-        ),
-        shape=(r1 - r0, c1 - c0),
-    )
 
 
 class ModelState:
@@ -247,15 +222,6 @@ class ModelState:
             ([0], np.cumsum(cell_counts))
         ).astype(np.intp)
         self.num_cells = int(self.cell_edges.size)
-
-        # eq. (4): per-edge usage as one (E, P) CSR whose row ``e`` holds the
-        # commodity cells of ``e`` in ascending ``j`` -- the dense axis-0
-        # reduce's association
-        self.usage_S = _selection_csr(
-            self.cell_raw,
-            np.arange(E, dtype=np.intp),
-            data=self.cell_cost,
-        )
 
         # position of a flat edge in the cell list (for the tag flood)
         cell_lookup = np.full(J * E, -1, dtype=np.intp)
@@ -312,17 +278,17 @@ class ModelState:
             j_range = np.arange(J + 1, dtype=np.intp)
             for s, e in _level_split(key):
                 scatter = flat_heads[s:e] if by_head else flat_tails[s:e]
-                nodes = np.unique(scatter)
+                nodes, rows = np.unique(scatter, return_inverse=True)
                 levels.append(
                     WaveLevel(
                         nodes=nodes,
+                        rows=rows,
                         edges=flat_edges[s:e],
                         raw=edges[s:e],
                         tails=flat_tails[s:e],
                         heads=flat_heads[s:e],
                         gains=np.ascontiguousarray(gains[s:e]),
                         costs=np.ascontiguousarray(costs[s:e]),
-                        S=_selection_csr(scatter, nodes),
                         cell_pos=cell_lookup[flat_edges[s:e]],
                         entry_starts=np.searchsorted(j_col[s:e], j_range).astype(
                             np.intp
@@ -361,20 +327,24 @@ class ModelState:
     # -- full-width kernels ----------------------------------------------------------
     def solve_traffic_into(self, t_flat: np.ndarray, phi_flat: np.ndarray) -> None:
         """Eq. (3) forward wave over ``t_flat`` (pre-filled with external
-        inputs), one CSR mat-vec per depth level."""
+        inputs), one ordered ``np.bincount`` per depth level."""
         for lv in self.forward_levels:
             contrib = t_flat[lv.tails] * phi_flat[lv.edges] * lv.gains
-            t_flat[lv.nodes] = lv.S.dot(contrib)
+            t_flat[lv.nodes] = np.bincount(lv.rows, contrib, lv.nodes.size)
 
     def resource_usage(
         self, phi_flat: np.ndarray, t_flat: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Eqs. (4)-(5) from the allowed cells only: ``O(P + E)``, not
-        ``O(J * E)``."""
-        contrib = t_flat[self.cell_tails] * phi_flat[self.cell_edges]
-        edge_usage = self.usage_S.dot(contrib)
-        node_usage = np.zeros(self.num_nodes, dtype=float)
-        np.add.at(node_usage, self.edge_tail, edge_usage)
+        ``O(J * E)``.
+
+        This is the one sum across commodities, so it always runs over the
+        whole cell list: the sharded backends call it on the master once
+        every shard's traffic rows have landed.
+        """
+        contrib = t_flat[self.cell_tails] * phi_flat[self.cell_edges] * self.cell_cost
+        edge_usage = np.bincount(self.cell_raw, contrib, self.num_edges)
+        node_usage = np.bincount(self.edge_tail, edge_usage, self.num_nodes)
         return edge_usage, node_usage
 
     def marginal_costs_into(
@@ -385,7 +355,7 @@ class ModelState:
             contrib = phi_flat[lv.edges] * (
                 dadf[lv.raw] * lv.costs + lv.gains * dadr_flat[lv.heads]
             )
-            dadr_flat[lv.nodes] = lv.S.dot(contrib)
+            dadr_flat[lv.nodes] = np.bincount(lv.rows, contrib, lv.nodes.size)
 
     def marginal_costs(self, phi_flat: np.ndarray, dadf: np.ndarray) -> np.ndarray:
         dadr = np.zeros((self.num_commodities, self.num_nodes), dtype=float)
@@ -429,27 +399,19 @@ class ModelState:
                 out.append(
                     (
                         lv.nodes[r0:r1],
+                        lv.rows[s:e] - r0,
                         lv.edges[s:e],
                         lv.raw[s:e],
                         lv.tails[s:e],
                         lv.heads[s:e],
                         lv.gains[s:e],
                         lv.costs[s:e],
-                        _csr_row_col_block(lv.S, r0, r1, s, e),
                         lv.cell_pos[s:e],
                     )
                 )
             return tuple(out)
 
         c0, c1 = int(self.cell_starts[lo]), int(self.cell_starts[hi])
-        usage_S = sp.csr_matrix(
-            (
-                self.cell_cost[c0:c1],
-                (self.cell_raw[c0:c1], np.arange(c1 - c0, dtype=np.intp)),
-            ),
-            shape=(self.num_edges, c1 - c0),
-        )
-        usage_S.sort_indices()
 
         g0, g1 = int(self.gamma_starts[lo]), int(self.gamma_starts[hi])
         gamma_plan: Optional[CommodityGammaPlan] = None
@@ -468,7 +430,6 @@ class ModelState:
             reverse=slice_levels(self.reverse_levels),
             cell_lo=c0,
             cell_hi=c1,
-            usage_S=usage_S,
             gamma_plan=gamma_plan,
         )
         self._blocks[key] = plans
@@ -479,25 +440,11 @@ class ModelState:
     ) -> None:
         """Forward wave restricted to rows ``[lo, hi)`` (rows pre-filled
         with external inputs).  Reads and writes only the block's rows."""
-        for nodes, edges, _raw, tails, _heads, gains, _costs, S, _cp in self.block(
+        for nodes, rows, edges, _raw, tails, _heads, gains, _costs, _cp in self.block(
             lo, hi
         ).forward:
             contrib = t_flat[tails] * phi_flat[edges] * gains
-            t_flat[nodes] = S.dot(contrib)
-
-    def usage_partial_block(
-        self, phi_flat: np.ndarray, t_flat: np.ndarray, lo: int, hi: int
-    ) -> np.ndarray:
-        """The block's ``(E,)`` usage partial sum.
-
-        Summing shard partials in ascending shard order reproduces the
-        full CSR row-sum association exactly (contiguous sub-sums of a
-        left-to-right sequential sum).
-        """
-        plans = self.block(lo, hi)
-        c0, c1 = plans.cell_lo, plans.cell_hi
-        contrib = t_flat[self.cell_tails[c0:c1]] * phi_flat[self.cell_edges[c0:c1]]
-        return plans.usage_S.dot(contrib)
+            t_flat[nodes] = np.bincount(rows, contrib, nodes.size)
 
     def marginal_costs_block(
         self,
@@ -508,11 +455,11 @@ class ModelState:
         hi: int,
     ) -> None:
         """Reverse wave restricted to rows ``[lo, hi)`` (rows pre-zeroed)."""
-        for nodes, edges, raw, _tails, heads, gains, costs, S, _cp in self.block(
+        for nodes, rows, edges, raw, _tails, heads, gains, costs, _cp in self.block(
             lo, hi
         ).reverse:
             contrib = phi_flat[edges] * (dadf[raw] * costs + gains * dadr_flat[heads])
-            dadr_flat[nodes] = S.dot(contrib)
+            dadr_flat[nodes] = np.bincount(rows, contrib, nodes.size)
 
     def edge_marginals_block(
         self,
@@ -575,7 +522,7 @@ class ModelState:
             return False
 
         tags = np.zeros(self.num_commodities * self.num_nodes, dtype=bool)
-        for _nodes, _edges, _raw, tails, heads, _g, _c, _S, cell_pos in plans.reverse:
+        for _nodes, _rows, _edges, _raw, tails, heads, _g, _c, cell_pos in plans.reverse:
             pos = cell_pos - c0
             contrib = improper[pos] | (carries[pos] & tags[heads])
             np.logical_or.at(tags, tails, contrib)

@@ -146,7 +146,9 @@ class CommodityGammaPlan:
     of the commodity subgraph with at least two allowed out-edges (a single
     out-edge always carries fraction 1).  Row ``n`` of ``edge_matrix`` holds
     node ``nodes[n]``'s out-edge ids in ``commodity_out_edges`` order, padded
-    with 0 where ``valid`` is False.
+    with 0 where ``valid`` is False.  The padded matrix is the stored form
+    (the delta splice remaps it); the ``Gamma`` kernel only ever touches
+    the valid cells, through the flat lists derived below.
 
     The *merged* plan (:attr:`ExtendedNetwork.merged_gamma_plan`) reuses this
     structure with flattened cross-commodity ids (node ``j*V + v``, edge
@@ -156,14 +158,20 @@ class CommodityGammaPlan:
     nodes: np.ndarray  # (N,) node ids
     edge_matrix: np.ndarray  # (N, K) edge ids, 0-padded
     valid: np.ndarray  # (N, K) bool
-    # derived, filled in __post_init__: row index vector and the flat edge ids
-    # of the valid cells, cached because the Gamma kernel runs every iteration
-    rows: np.ndarray = None  # (N,)
-    targets: np.ndarray = None  # (sum(valid),) == edge_matrix[valid]
+    # derived, filled in __post_init__ and cached because the Gamma kernel
+    # runs every iteration: the valid cells in row-major order (the kernel's
+    # working form), each cell's row, and each row's first cell
+    targets: np.ndarray = None  # (C,) == edge_matrix[valid]
+    cell_rows: np.ndarray = None  # (C,) row of each valid cell, ascending
+    row_starts: np.ndarray = None  # (N,) first cell of each row
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", np.arange(self.nodes.size))
+        cell_rows = np.nonzero(self.valid)[0]
         object.__setattr__(self, "targets", self.edge_matrix[self.valid])
+        object.__setattr__(self, "cell_rows", cell_rows)
+        object.__setattr__(
+            self, "row_starts", np.searchsorted(cell_rows, np.arange(self.nodes.size))
+        )
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ rows.  :class:`ParallelBackend` shards that per-commodity work across a
   ``compute_blocked_sets``, ``apply_gamma_batch`` over the per-commodity
   plan);
 * the only cross-commodity coupling -- summing per-commodity resource usage
-  into ``edge_usage`` (eq. (4)) -- is reduced on the master by the *same*
-  fixed-order ``np.add.reduce`` call over the same ``(J, E)`` bits as the
+  into ``edge_usage`` (eq. (4)) -- runs on the master after every shard has
+  returned, as the *same* ``resource_usage`` call over the same bits as the
   serial path, regardless of worker completion order;
 * everything else the master computes (cost breakdown, ``dadf``) runs the
   identical serial functions on those identical bits.
@@ -40,7 +40,7 @@ from repro.core.blocking import compute_all_blocked_sets
 from repro.core.context import IterationContext, build_iteration_context
 from repro.core.gradient import GradientConfig, apply_gamma_batch
 from repro.core.marginals import evaluate_cost, link_cost_derivative
-from repro.core.routing import RoutingState
+from repro.core.routing import RoutingState, resource_usage
 from repro.core.state import ModelState, use_array_core
 from repro.core.transform import ExtendedNetwork
 from repro.exceptions import ParallelExecutionError
@@ -227,12 +227,24 @@ class SerialBackend(ExecutionBackend):
         return RoutingState(new_phi)
 
 
+def _segment_shapes(ext: ExtendedNetwork) -> Dict[str, Tuple[int, ...]]:
+    """The shared-memory segments a process pool over ``ext`` publishes."""
+    shape_je = (ext.num_commodities, ext.num_edges)
+    return {
+        "phi": shape_je,
+        "phi_next": shape_je,
+        "traffic": (ext.num_commodities, ext.num_nodes),
+        "dadf": (ext.num_edges,),
+    }
+
+
 def _split_shards(num_commodities: int, workers: int) -> List[Tuple[int, int]]:
     """Contiguous near-equal commodity ranges, one per logical worker.
 
-    Contiguity matters: the master's fixed-order reduce and the bit-identity
-    argument rely on every commodity being computed exactly once and on the
-    reduce order being the commodity order, not the shard order.
+    Contiguity matters: under the array core a shard is a contiguous
+    row-block of every :class:`~repro.core.state.ModelState` array, and the
+    bit-identity argument relies on every commodity being computed exactly
+    once.
     """
     n = max(1, min(workers, num_commodities))
     base, extra = divmod(num_commodities, n)
@@ -334,19 +346,10 @@ class ParallelBackend(ExecutionBackend):
             ModelState.of(ext)
         shm = SharedArraySet()
         try:
-            shape_je = (ext.num_commodities, ext.num_edges)
             self._shards = _split_shards(ext.num_commodities, self.workers)
             self._pool_size = len(self._shards)
-            shm.create("phi", shape_je)
-            shm.create("phi_next", shape_je)
-            # array core: one (E,) usage partial per shard, summed by the
-            # master in shard order -- O(S * E) shm instead of O(J * E)
-            shm.create(
-                "usage",
-                (self._pool_size, ext.num_edges) if self._array else shape_je,
-            )
-            shm.create("traffic", (ext.num_commodities, ext.num_nodes))
-            shm.create("dadf", (ext.num_edges,))
+            for name, shape in _segment_shapes(ext).items():
+                shm.create(name, shape)
             import multiprocessing
 
             ctx = (
@@ -409,38 +412,13 @@ class ParallelBackend(ExecutionBackend):
             ) from first_error
         return results
 
-    def _dispatch(
-        self, phase: str, args: Sequence[Any] = (), indexed: bool = False
-    ) -> List[Any]:
+    def _dispatch(self, phase: str, args: Sequence[Any] = ()) -> List[Any]:
         assert self._pool is not None
-        if indexed:
-            # phases that publish per-shard results (the array core's usage
-            # partials) receive their shard index as the first argument
-            futures: List[Future] = [
-                self._pool.submit(run_shard, phase, lo, hi, k, *args)
-                for k, (lo, hi) in enumerate(self._shards)
-            ]
-        else:
-            futures = [
-                self._pool.submit(run_shard, phase, lo, hi, *args)
-                for lo, hi in self._shards
-            ]
+        futures: List[Future] = [
+            self._pool.submit(run_shard, phase, lo, hi, *args)
+            for lo, hi in self._shards
+        ]
         return self._collect(phase, futures)
-
-    def _reduce_usage(self, arrays: Dict[str, np.ndarray]) -> np.ndarray:
-        """Deterministic fixed-order usage reduce (eq. (4)).
-
-        Object core: the same ``np.add.reduce`` over the same ``(J, E)``
-        bits as the serial path.  Array core: per-shard ``(E,)`` partials
-        summed in ascending-commodity shard order -- contiguous sub-sums of
-        the serial CSR row sum, so the association (and every output bit)
-        is unchanged.  Either way worker completion order cannot influence
-        a single bit.
-        """
-        rows = arrays["usage"]
-        if self._array:
-            rows = rows[: len(self._shards)]
-        return np.add.reduce(rows, axis=0)
 
     # -- epoch refresh -------------------------------------------------------------
     def refresh(self, applied: Any, instrumentation: Any = None) -> None:
@@ -466,17 +444,7 @@ class ParallelBackend(ExecutionBackend):
             if self._array:
                 ModelState.of(ext)
             shm = self._shm
-            shapes = {
-                "phi": (ext.num_commodities, ext.num_edges),
-                "phi_next": (ext.num_commodities, ext.num_edges),
-                "usage": (
-                    (self._pool_size, ext.num_edges)
-                    if self._array
-                    else (ext.num_commodities, ext.num_edges)
-                ),
-                "traffic": (ext.num_commodities, ext.num_nodes),
-                "dadf": (ext.num_edges,),
-            }
+            shapes = _segment_shapes(ext)
             dirty = [
                 name
                 for name, shape in shapes.items()
@@ -532,11 +500,12 @@ class ParallelBackend(ExecutionBackend):
         arrays = self._shm.arrays
         with inst.phase("flow_solve"):
             np.copyto(arrays["phi"], routing.phi)
-            results = self._dispatch("forecast", indexed=True)
-            edge_usage = self._reduce_usage(arrays)
-            node_usage = np.zeros(ext.num_nodes, dtype=float)
-            np.add.at(node_usage, ext.edge_tail, edge_usage)
+            results = self._dispatch("forecast")
             traffic = arrays["traffic"].copy()
+            # usage sums across commodities: the serial call, once every
+            # shard has returned (a per-shard partial would change the
+            # association on edges that commodities in two shards share)
+            edge_usage, node_usage = resource_usage(ext, routing, traffic)
             breakdown = evaluate_cost(
                 ext, routing, cfg.cost_model, traffic, usage=(edge_usage, node_usage)
             )
@@ -599,8 +568,8 @@ class ParallelBackend(ExecutionBackend):
         commodity rows -- re-solving its local flow balance and re-applying
         ``Gamma`` each inner iteration -- while the global ``dadf`` stays
         frozen at its batch-start value (at most ``staleness`` iterations
-        old).  After the batch the master performs the usual fixed-order
-        usage reduce and recomputes a *fresh* ``dadf``, so staleness never
+        old).  After the batch the master computes usage as usual and
+        recomputes a *fresh* ``dadf``, so staleness never
         accumulates across batches.  With ``staleness=0`` this is exactly
         the synchronous per-iteration schedule (bit-identical to serial).
 
@@ -644,17 +613,14 @@ class ParallelBackend(ExecutionBackend):
             with inst.phase("parallel_batch", iterations=span):
                 np.copyto(arrays["phi"], routing.phi)
                 results = self._dispatch(
-                    "batch", (span, eta, cfg.use_blocking, cfg.traffic_tol),
-                    indexed=True,
+                    "batch", (span, eta, cfg.use_blocking, cfg.traffic_tol)
                 )
                 new_phi = arrays["phi_next"].copy()
-                # same fixed-order reduce and master-side derivative as the
-                # synchronous build_context, over the batch-final rows
-                edge_usage = self._reduce_usage(arrays)
-                node_usage = np.zeros(ext.num_nodes, dtype=float)
-                np.add.at(node_usage, ext.edge_tail, edge_usage)
+                # same master-side usage and derivative as the synchronous
+                # build_context, over the batch-final rows
                 traffic = arrays["traffic"].copy()
                 routing = RoutingState(new_phi)
+                edge_usage, node_usage = resource_usage(ext, routing, traffic)
                 breakdown = evaluate_cost(
                     ext, routing, cfg.cost_model, traffic,
                     usage=(edge_usage, node_usage),

@@ -1,7 +1,7 @@
 """Shared-memory array plumbing for the process-parallel backend.
 
 The parallel backend moves the per-iteration arrays (``phi``, ``traffic``,
-per-commodity usage rows, ``dadf``, the next iterate) between the master and
+``dadf``, the next iterate) between the master and
 its worker processes through :mod:`multiprocessing.shared_memory` blocks that
 are created **once** per backend lifetime.  Per iteration the only data that
 crosses the pickle boundary is a few-byte task descriptor (phase name, shard

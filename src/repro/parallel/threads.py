@@ -24,9 +24,10 @@ The bit-identity contract is inherited unchanged:
 * every kernel reads and writes **only its own commodity's rows** (pinned by
   the blocking/marginals tests), so threads on disjoint shards share arrays
   without a single racing byte;
-* the only cross-commodity coupling -- the usage reduce (eq. (4)) -- happens
-  on the master via the same fixed-order ``np.add.reduce`` call as the
-  serial path, so thread completion order cannot influence an output bit.
+* the only cross-commodity coupling -- the usage sum (eq. (4)) -- happens
+  on the master after every shard has returned, as the serial
+  ``resource_usage`` call, so thread completion order cannot influence an
+  output bit.
 """
 
 from __future__ import annotations
@@ -47,7 +48,12 @@ from repro.core.marginals import (
     link_cost_derivative,
     marginal_cost_to_destination,
 )
-from repro.core.routing import RoutingState, external_inputs, solve_traffic_commodity
+from repro.core.routing import (
+    RoutingState,
+    external_inputs,
+    resource_usage,
+    solve_traffic_commodity,
+)
 from repro.core.state import ModelState, use_array_core
 from repro.core.transform import ExtendedNetwork
 from repro.exceptions import ParallelExecutionError
@@ -93,15 +99,13 @@ class ThreadBackend(ExecutionBackend):
         self._shards: List[Tuple[int, int]] = []
         # master-owned scratch the worker threads write their rows into
         self._traffic: Optional[np.ndarray] = None
-        self._usage: Optional[np.ndarray] = None
         self._phi_next: Optional[np.ndarray] = None
         self._dadf: Optional[np.ndarray] = None
         self._loaded_for: Optional[RoutingState] = None
-        # array-core mode (repro.core.state): shards run the row-block CSR
+        # array-core mode (repro.core.state): shards run the row-block
         # kernels of the shared ModelState instead of per-commodity walks
         self._mode: Optional[str] = None
         self._state: Optional[ModelState] = None
-        self._shard_index: Dict[int, int] = {}
         self._dadr: Optional[np.ndarray] = None
         self._delta: Optional[np.ndarray] = None
         self._blocked: Optional[np.ndarray] = None
@@ -149,13 +153,10 @@ class ThreadBackend(ExecutionBackend):
             self._phi_next = np.zeros(shape_je)
             self._traffic = np.zeros((ext.num_commodities, ext.num_nodes))
             self._shards = _split_shards(ext.num_commodities, self.workers)
-            self._shard_index = {lo: k for k, (lo, _hi) in enumerate(self._shards)}
             if mode == "array":
-                # row-block sharding over the shared ModelState: per-shard
-                # usage partials (summed in shard order on the master) plus
-                # full-width dadr/delta/blocked scratch written row-wise
+                # row-block sharding over the shared ModelState: full-width
+                # dadr/delta/blocked scratch written row-wise
                 self._state = ModelState.of(ext)
-                self._usage = np.zeros((len(self._shards), ext.num_edges))
                 self._dadr = np.zeros((ext.num_commodities, ext.num_nodes))
                 self._delta = np.zeros(shape_je)
                 self._blocked = np.zeros(shape_je, dtype=bool)
@@ -166,7 +167,6 @@ class ThreadBackend(ExecutionBackend):
                     self._state.block(lo, hi)
             else:
                 self._state = None
-                self._usage = np.zeros(shape_je)
                 # touch the lazy per-commodity plans once so iteration-time
                 # tasks never pay (or re-time) the plan construction
                 _ = ext.flow_plans, ext.gamma_plans
@@ -182,7 +182,7 @@ class ThreadBackend(ExecutionBackend):
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-        self._traffic = self._usage = self._phi_next = None
+        self._traffic = self._phi_next = None
         self._dadf = None
         self._loaded_for = None
         self._mode = None
@@ -248,12 +248,8 @@ class ThreadBackend(ExecutionBackend):
     def _forecast_shard(self, lo: int, hi: int, phi: np.ndarray) -> None:
         ext = self._ext
         traffic = self._traffic
-        usage = self._usage
         for j in range(lo, hi):
-            row = solve_traffic_commodity(ext, j, phi[j])
-            traffic[j] = row
-            # same elementwise association as the serial (t * phi) * cost
-            usage[j] = row[ext.edge_tail] * phi[j] * ext.cost[j]
+            traffic[j] = solve_traffic_commodity(ext, j, phi[j])
 
     def _step_shard(
         self, lo: int, hi: int, routing: RoutingState, eta: float
@@ -293,16 +289,10 @@ class ThreadBackend(ExecutionBackend):
             timings["gamma"] += time.perf_counter() - start
         return timings
 
-    # -- array-core shard bodies (row-block CSR kernels over ModelState) -------------
+    # -- array-core shard bodies (row-block kernels over ModelState) -----------------
     def _forecast_shard_array(self, lo: int, hi: int, phi: np.ndarray) -> None:
-        state = self._state
-        t_flat = self._traffic.reshape(-1)
-        phi_flat = phi.reshape(-1)
-        state.solve_traffic_block(t_flat, phi_flat, lo, hi)
-        # per-shard (E,) usage partial; the master sums partials in shard
-        # order, which reproduces the full CSR row-sum association exactly
-        self._usage[self._shard_index[lo]] = state.usage_partial_block(
-            phi_flat, t_flat, lo, hi
+        self._state.solve_traffic_block(
+            self._traffic.reshape(-1), phi.reshape(-1), lo, hi
         )
 
     def _step_shard_array(
@@ -370,20 +360,17 @@ class ThreadBackend(ExecutionBackend):
         with inst.phase("flow_solve"):
             if self._mode == "array":
                 # seed external inputs once; shards overwrite their rows'
-                # interior nodes via the forward CSR sweep
+                # interior nodes via the forward sweep
                 np.copyto(self._traffic, external_inputs(ext))
                 forecast = self._forecast_shard_array
             else:
                 forecast = self._forecast_shard
             results = self._dispatch("flow_solve", forecast, routing.phi)
-            # deterministic fixed-order reduce: same call, same bits, same
-            # association as the serial resource_usage (array mode reduces
-            # per-shard partials in ascending-commodity shard order) --
-            # thread completion order cannot influence a single output bit
-            edge_usage = np.add.reduce(self._usage, axis=0)
-            node_usage = np.zeros(ext.num_nodes, dtype=float)
-            np.add.at(node_usage, ext.edge_tail, edge_usage)
             traffic = self._traffic.copy()
+            # usage sums across commodities, so it runs once all shards have
+            # returned: the serial call on the same bits, whatever order the
+            # threads finished in
+            edge_usage, node_usage = resource_usage(ext, routing, traffic)
             breakdown = evaluate_cost(
                 ext, routing, cfg.cost_model, traffic, usage=(edge_usage, node_usage)
             )

@@ -11,10 +11,10 @@ iteration, the third is the bounded-staleness batch:
 
 ``forecast``
     Solve the flow balance (eq. (3)) for each owned commodity and write its
-    traffic row and per-commodity resource-usage row into shared memory.
-    The master then performs the deterministic fixed-order reduce
-    (``np.add.reduce`` over the commodity axis -- the *same call on the same
-    bits* as the serial path) to obtain ``edge_usage``/``node_usage``.
+    traffic rows into shared memory.  Once every shard has returned, the
+    master computes ``edge_usage``/``node_usage`` with the *same call on
+    the same bits* as the serial path, ``resource_usage``: usage sums
+    across commodities, so no shard can compute a part of it.
 
 ``step``
     Given the master-computed ``dadf`` (eq. (11)), run the marginal-cost
@@ -152,36 +152,27 @@ def _scratch(name: str, shape: Tuple[int, ...], dtype=float) -> np.ndarray:
     return array
 
 
-def _forecast_shard(lo: int, hi: int, shard: int) -> Dict[str, float]:
+def _forecast_shard(lo: int, hi: int) -> Dict[str, float]:
     assert _EXT is not None, "worker used before init_worker ran"
     ext = _EXT
     phi = _ARRAYS["phi"]
     traffic = _ARRAYS["traffic"]
-    usage = _ARRAYS["usage"]
     start = time.perf_counter()
     if _ARRAY_CORE:
-        state = ModelState.of(ext)
         traffic[lo:hi] = external_inputs_rows(ext, lo, hi)
-        state.solve_traffic_block(traffic.reshape(-1), phi.reshape(-1), lo, hi)
-        # per-shard (E,) usage partial in shm row `shard`; the master sums
-        # partials in shard order, which reproduces the serial CSR row-sum
-        # association exactly
-        usage[shard] = state.usage_partial_block(
-            phi.reshape(-1), traffic.reshape(-1), lo, hi
+        ModelState.of(ext).solve_traffic_block(
+            traffic.reshape(-1), phi.reshape(-1), lo, hi
         )
         return {"flow_solve": time.perf_counter() - start}
     for j in range(lo, hi):
-        row = solve_traffic_commodity(ext, j, phi[j])
-        traffic[j] = row
-        # same elementwise association as the serial (t * phi) * cost
-        usage[j] = row[ext.edge_tail] * phi[j] * ext.cost[j]
+        traffic[j] = solve_traffic_commodity(ext, j, phi[j])
     return {"flow_solve": time.perf_counter() - start}
 
 
 def _step_shard_array(
     lo: int, hi: int, eta: float, use_blocking: bool, traffic_tol: float
 ) -> Dict[str, float]:
-    """Array-core step body: row-block CSR kernels over the shared state.
+    """Array-core step body: row-block kernels over the shared state.
 
     ``dadr``/``delta``/``blocked`` live in private per-worker scratch (only
     this shard's rows are ever written or read), while ``phi``/``phi_next``/
@@ -283,7 +274,6 @@ def _step_shard(
 def _batch_shard_array(
     lo: int,
     hi: int,
-    shard: int,
     iterations: int,
     eta: float,
     use_blocking: bool,
@@ -293,9 +283,9 @@ def _batch_shard_array(
 
     Mirrors the object-core batch exactly: ``Gamma`` applies in place on the
     shard's shm ``phi`` rows (the kernel reads and writes the same buffer,
-    just like the serial engine's updated-copy), the shard's traffic rows
-    are re-solved after every application, and the usage partial is
-    published once over the batch-final rows.
+    just like the serial engine's updated-copy) and the shard's traffic
+    rows are re-solved after every application; the master computes usage
+    over the batch-final rows once every shard has returned.
     """
     ext = _EXT
     state = ModelState.of(ext)
@@ -337,7 +327,6 @@ def _batch_shard_array(
             )
         traffic[lo:hi] = external_inputs_rows(ext, lo, hi)
         state.solve_traffic_block(t_flat, phi_flat, lo, hi)
-    _ARRAYS["usage"][shard] = state.usage_partial_block(phi_flat, t_flat, lo, hi)
     _ARRAYS["phi_next"][lo:hi] = phi[lo:hi]
     return {"batch": time.perf_counter() - start}
 
@@ -365,7 +354,6 @@ def _batch_shard(
     phi = _ARRAYS["phi"]
     phi_next = _ARRAYS["phi_next"]
     traffic = _ARRAYS["traffic"]
-    usage = _ARRAYS["usage"]
     dadf = _ARRAYS["dadf"]
     routing = RoutingState(phi)  # zero-copy view; we update our own rows
     start = time.perf_counter()
@@ -385,9 +373,7 @@ def _batch_shard(
                 row, ext.gamma_plans[j], traffic[j], delta, blocked, eta, traffic_tol
             )
             phi[j] = row
-            fresh = solve_traffic_commodity(ext, j, row)
-            traffic[j] = fresh
-            usage[j] = fresh[ext.edge_tail] * row * ext.cost[j]
+            traffic[j] = solve_traffic_commodity(ext, j, row)
     phi_next[lo:hi] = phi[lo:hi]
     return {"batch": time.perf_counter() - start}
 
@@ -403,16 +389,15 @@ def run_shard(phase: str, lo: int, hi: int, *args: Any) -> Tuple[int, Dict[str, 
             f"injected worker fault during {phase!r} (test hook)"
         )
     if phase == "forecast":
-        (shard,) = args
-        return lo, _forecast_shard(lo, hi, shard)
+        return lo, _forecast_shard(lo, hi)
     if phase == "step":
         eta, use_blocking, traffic_tol = args
         return lo, _step_shard(lo, hi, eta, use_blocking, traffic_tol)
     if phase == "batch":
-        shard, iterations, eta, use_blocking, traffic_tol = args
+        iterations, eta, use_blocking, traffic_tol = args
         if _ARRAY_CORE:
             return lo, _batch_shard_array(
-                lo, hi, shard, iterations, eta, use_blocking, traffic_tol
+                lo, hi, iterations, eta, use_blocking, traffic_tol
             )
         return lo, _batch_shard(lo, hi, iterations, eta, use_blocking, traffic_tol)
     if phase == "refresh":

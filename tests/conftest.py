@@ -61,6 +61,24 @@ def small_random_ext():
 
 
 @pytest.fixture(scope="session")
+def wide_random_ext():
+    """A wide random instance: fan-in 11, fan-out 10, ``Gamma`` rows of 10.
+
+    numpy's own reductions stop adding left to right at 8 terms, so the
+    bit-identity tests need rows at least that wide; the other fixtures
+    top out at fan-in 6.
+    """
+    spec = RandomNetworkSpec(
+        num_nodes=60,
+        num_commodities=3,
+        depth_range=(3, 4),
+        layer_width_range=(9, 10),
+        extra_edge_probability=0.1,
+    )
+    return build_extended_network(random_stream_network(spec, seed=5))
+
+
+@pytest.fixture(scope="session")
 def figure4_ext():
     """The paper's Figure-4 workload (40 nodes, 3 commodities)."""
     return build_extended_network(paper_figure4_network(seed=7))

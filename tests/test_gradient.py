@@ -288,38 +288,72 @@ class TestVectorizedStep:
             slow = algo.step_reference(slow)
             assert np.array_equal(fast.phi, slow.phi)
 
-    def test_batch_kernel_matches_scalar_kernel(self, figure4_ext):
-        """Drive the two kernels directly on identical random inputs."""
-        ext = figure4_ext
-        rng = np.random.default_rng(42)
+    def test_batch_kernel_matches_scalar_kernel(self, request):
+        """Drive the two kernels directly on identical random inputs.
+
+        Each row meets, one round each, every case the row logic has to get
+        right: random deltas, an exact tie at the minimum (the first cell
+        wins), all-equal deltas, every delta +inf, every edge blocked, an
+        idle node, and fractions drifted off 1 (the renormalization).  The
+        wide instance adds rows of 10 cells, past the 8 terms where numpy's
+        own reductions stop adding left to right.
+        """
+        for fixture in ("figure4_ext", "small_random_ext", "wide_random_ext"):
+            ext = request.getfixturevalue(fixture)
+            for shift in range(7):
+                self._check_batch_matches_scalar(ext, shift, f"{fixture}, round {shift}")
+
+    @staticmethod
+    def _check_batch_matches_scalar(ext, shift, name):
+        rng = np.random.default_rng(42 + shift)
         for j in range(ext.num_commodities):
             plan = ext.gamma_plans[j]
             if plan.nodes.size == 0:
                 continue
-            phi_batch = np.zeros(ext.num_edges)
+            phi = np.zeros(ext.num_edges)
             for node in plan.nodes:
                 out = ext.commodity_out_edges[j][node]
                 w = rng.random(len(out)) + 1e-9
-                phi_batch[out] = w / w.sum()
-            phi_scalar = phi_batch.copy()
+                phi[out] = w / w.sum()
             traffic_row = rng.random(ext.num_nodes) * 10.0
-            traffic_row[plan.nodes[::3]] = 0.0  # exercise the idle branch
             delta = rng.random(ext.num_edges) * 5.0
             blocked = rng.random(ext.num_edges) < 0.15
-            apply_gamma_batch(
-                phi_batch, plan, traffic_row, delta, blocked, 0.08, 1e-12
-            )
-            for node in plan.nodes:
-                apply_gamma_at_node(
-                    phi_scalar,
-                    traffic_row[node],
-                    ext.commodity_out_edges[j][node],
-                    delta,
-                    blocked,
-                    0.08,
-                    1e-12,
+            for k, node in enumerate(plan.nodes):
+                out = ext.commodity_out_edges[j][node]
+                case = (k + shift) % 7
+                if case == 1:
+                    delta[out[-1]] = delta[out[0]] = delta[out].min()
+                elif case == 2:
+                    delta[out] = 1.5
+                elif case == 3:
+                    delta[out] = np.inf
+                elif case == 4:
+                    blocked[out] = True
+                elif case == 5:
+                    traffic_row[node] = 0.0
+                elif case == 6:
+                    phi[out] *= 1.0 + 1e-9
+            # the kernel has a separate path for "nothing blocked"
+            for mask in (blocked, None):
+                phi_batch, phi_scalar = phi.copy(), phi.copy()
+                # both kernels form inf - inf on the all-+inf rows
+                with np.errstate(invalid="ignore"):
+                    apply_gamma_batch(
+                        phi_batch, plan, traffic_row, delta, mask, 0.08, 1e-12
+                    )
+                    for node in plan.nodes:
+                        apply_gamma_at_node(
+                            phi_scalar,
+                            traffic_row[node],
+                            ext.commodity_out_edges[j][node],
+                            delta,
+                            mask,
+                            0.08,
+                            1e-12,
+                        )
+                assert np.array_equal(phi_batch, phi_scalar), (
+                    f"{name}, commodity {j}, blocked={mask is not None}"
                 )
-            assert np.array_equal(phi_batch, phi_scalar)
 
 
 class TestIterationCache:

@@ -33,7 +33,7 @@ from repro.parallel import (
     resolve_backend,
 )
 from repro.parallel.backend import REPRO_BACKEND_ENV, _split_shards
-from repro.scenarios import random_stream_network
+from repro.scenarios import random_stream_network, scenario
 from repro.scenarios import RandomNetworkSpec
 
 ITERATIONS = 25
@@ -73,6 +73,21 @@ class TestBitIdentity:
             parallel = _trajectory(ext, config, backend=backend)
         assert len(serial) == len(parallel)
         for iteration, (a, b) in enumerate(zip(serial, parallel)):
+            assert np.array_equal(a, b), f"phi diverged at iteration {iteration}"
+
+    @pytest.mark.parametrize("make_backend", [ThreadBackend, ParallelBackend])
+    def test_edge_shared_by_three_commodities_across_shards(self, make_backend):
+        """Regression: fat-tree-16's edges 52-59 carry commodities 1, 3 and
+        5, which three workers put in shards 0, 1 and 1.  Adding per-shard
+        usage partials summed ``c1 + (c3 + c5)`` where serial sums
+        ``(c1 + c3) + c5``; phi diverged at iteration 39."""
+        spec = scenario("fat-tree-16")
+        ext = build_extended_network(spec.topology.build(spec.seed))
+        config = GradientConfig()
+        serial = _trajectory(ext, config, iterations=100)
+        with make_backend(workers=3) as backend:
+            sharded = _trajectory(ext, config, backend=backend, iterations=100)
+        for iteration, (a, b) in enumerate(zip(serial, sharded)):
             assert np.array_equal(a, b), f"phi diverged at iteration {iteration}"
 
     def test_run_loop_bit_identical(self):

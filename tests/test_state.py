@@ -20,6 +20,7 @@ from repro.core.state import (
     use_array_core,
 )
 from repro.validate import compare_cores
+from repro.validate.strategies import random_routing
 
 
 def converged_routing(ext, iterations=60):
@@ -56,66 +57,73 @@ class TestCoreSelection:
 class TestKernelBitIdentity:
     """Array kernels vs the per-commodity object walks, bit for bit."""
 
-    @pytest.fixture(params=["figure4_ext", "small_random_ext"])
+    @pytest.fixture(params=["figure4_ext", "small_random_ext", "wide_random_ext"])
     def ext(self, request):
         return request.getfixturevalue(request.param)
 
-    def _reference(self, ext, monkeypatch):
-        """Everything the object core computes for one routing state."""
-        routing = converged_routing(ext)
-        monkeypatch.setenv(MODEL_CORE_ENV, "object")
-        traffic = solve_traffic(ext, routing)
-        edge_usage, node_usage = resource_usage(ext, routing, traffic)
-        dadf = link_cost_derivative(ext, CostModel(), edge_usage, node_usage)
-        dadr = all_marginal_costs(ext, routing, dadf)
-        monkeypatch.delenv(MODEL_CORE_ENV)
-        return routing, traffic, edge_usage, node_usage, dadf, dadr
+    def _references(self, ext, monkeypatch):
+        """Everything the object core computes, for two routing states.
+
+        A converged iterate leaves most fractions at zero -- at most 3
+        nonzero terms in any sum, even on the wide instance -- so a random
+        interior routing rides along to fill every term of every row.
+        """
+        out = []
+        for routing in (converged_routing(ext), random_routing(ext, seed=0)):
+            monkeypatch.setenv(MODEL_CORE_ENV, "object")
+            traffic = solve_traffic(ext, routing)
+            edge_usage, node_usage = resource_usage(ext, routing, traffic)
+            dadf = link_cost_derivative(ext, CostModel(), edge_usage, node_usage)
+            dadr = all_marginal_costs(ext, routing, dadf)
+            monkeypatch.delenv(MODEL_CORE_ENV)
+            out.append((routing, traffic, edge_usage, node_usage, dadf, dadr))
+        return out
 
     def test_forward_wave(self, ext, monkeypatch):
-        routing, traffic, *_ = self._reference(ext, monkeypatch)
-        t = external_inputs(ext)
-        ModelState.of(ext).solve_traffic_into(t.reshape(-1), routing.phi.reshape(-1))
-        assert np.array_equal(t, traffic)
+        for routing, traffic, *_ in self._references(ext, monkeypatch):
+            t = external_inputs(ext)
+            ModelState.of(ext).solve_traffic_into(
+                t.reshape(-1), routing.phi.reshape(-1)
+            )
+            assert np.array_equal(t, traffic)
 
     def test_usage(self, ext, monkeypatch):
-        routing, traffic, edge_usage, node_usage, *_ = self._reference(
+        for routing, traffic, edge_usage, node_usage, *_ in self._references(
             ext, monkeypatch
-        )
-        eu, nu = ModelState.of(ext).resource_usage(
-            routing.phi.reshape(-1), traffic.reshape(-1)
-        )
-        assert np.array_equal(eu, edge_usage)
-        assert np.array_equal(nu, node_usage)
+        ):
+            eu, nu = ModelState.of(ext).resource_usage(
+                routing.phi.reshape(-1), traffic.reshape(-1)
+            )
+            assert np.array_equal(eu, edge_usage)
+            assert np.array_equal(nu, node_usage)
 
     def test_reverse_wave(self, ext, monkeypatch):
-        routing, _t, _eu, _nu, dadf, dadr = self._reference(ext, monkeypatch)
-        got = ModelState.of(ext).marginal_costs(routing.phi.reshape(-1), dadf)
-        assert np.array_equal(got, dadr)
+        for routing, _t, _eu, _nu, dadf, dadr in self._references(ext, monkeypatch):
+            got = ModelState.of(ext).marginal_costs(routing.phi.reshape(-1), dadf)
+            assert np.array_equal(got, dadr)
 
     def test_block_kernels_tile_the_full_sweep(self, ext, monkeypatch):
-        routing, traffic, edge_usage, _nu, dadf, dadr = self._reference(
-            ext, monkeypatch
-        )
         state = ModelState.of(ext)
         J = ext.num_commodities
-        phi_flat = routing.phi.reshape(-1)
-        # forward, one commodity at a time
-        t = external_inputs(ext)
-        for j in range(J):
-            t[j : j + 1] = external_inputs_rows(ext, j, j + 1)
-            state.solve_traffic_block(t.reshape(-1), phi_flat, j, j + 1)
-        assert np.array_equal(t, traffic)
-        # usage partials in ascending shard order
-        mid = max(1, J // 2)
-        partial = state.usage_partial_block(
-            phi_flat, t.reshape(-1), 0, mid
-        ) + state.usage_partial_block(phi_flat, t.reshape(-1), mid, J)
-        assert np.array_equal(partial, edge_usage)
-        # reverse, per-commodity rows
-        got = np.zeros_like(dadr)
-        for j in range(J):
-            state.marginal_costs_block(got.reshape(-1), phi_flat, dadf, j, j + 1)
-        assert np.array_equal(got, dadr)
+        for routing, traffic, edge_usage, _nu, dadf, dadr in self._references(
+            ext, monkeypatch
+        ):
+            phi_flat = routing.phi.reshape(-1)
+            # forward, one commodity at a time
+            t = external_inputs(ext)
+            for j in range(J):
+                t[j : j + 1] = external_inputs_rows(ext, j, j + 1)
+                state.solve_traffic_block(t.reshape(-1), phi_flat, j, j + 1)
+            assert np.array_equal(t, traffic)
+            # usage as the sharded backends compute it: one full-width call
+            # on the master over the traffic rows the blocks wrote
+            got_usage, _ = state.resource_usage(phi_flat, t.reshape(-1))
+            assert np.array_equal(got_usage, edge_usage)
+            # reverse, per-commodity rows
+            got = np.zeros_like(dadr)
+            for j in range(J):
+                state.marginal_costs_block(got.reshape(-1), phi_flat, dadf, j, j + 1)
+            assert np.array_equal(got, dadr)
 
     def test_context_delta_matches_on_allowed_cells(self, ext, monkeypatch):
         routing = converged_routing(ext)
@@ -126,6 +134,14 @@ class TestKernelBitIdentity:
         assert np.array_equal(ctx_array.edge_usage, ctx_object.edge_usage)
         mask = ext.allowed
         assert np.array_equal(ctx_array.delta[mask], ctx_object.delta[mask])
+
+
+def test_wide_fixture_has_pairwise_width_rows(wide_random_ext):
+    """The wide fixture must keep rows of >= 8 terms in every sweep."""
+    state = ModelState.of(wide_random_ext)
+    for levels in (state.forward_levels, state.reverse_levels):
+        assert max(np.bincount(lv.rows).max() for lv in levels) >= 8
+    assert np.bincount(wide_random_ext.merged_gamma_plan.cell_rows).max() >= 8
 
 
 class TestEndToEndIdentity:
