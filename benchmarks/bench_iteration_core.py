@@ -25,20 +25,9 @@ from conftest import emit
 from repro import build_extended_network
 from repro.obs import Instrumentation, write_metrics_json
 from repro.analysis import TableBuilder
-from repro.core.blocking import compute_blocked_sets
-from repro.core.gradient import GradientAlgorithm, GradientConfig, apply_gamma_at_node
-from repro.core.marginals import (
-    edge_marginals,
-    evaluate_cost,
-    link_cost_derivative,
-    marginal_cost_to_destination,
-)
-from repro.core.routing import (
-    RoutingState,
-    initial_routing,
-    resource_usage,
-    solve_traffic_scalar,
-)
+from repro.core.gradient import GradientAlgorithm, GradientConfig
+from repro.core.marginals import evaluate_cost
+from repro.core.routing import initial_routing, resource_usage, solve_traffic_scalar
 from repro.scenarios import random_stream_network
 from repro.scenarios import RandomNetworkSpec
 
@@ -63,49 +52,17 @@ def _make_medium_ext():
     return build_extended_network(random_stream_network(spec, seed=17))
 
 
-def _seed_step(algo, routing, eta):
-    """The seed's ``GradientAlgorithm.step``, frozen verbatim as the baseline.
+def _reference_iteration(algo, routing, eta):
+    """One iteration of the seed's run loop (``record_every=1``).
 
-    The seed's ``solve_traffic`` was the pure-Python topological walk that
-    survives today as ``solve_traffic_scalar``; marginals, blocked sets, and
-    the ``Gamma`` kernel ran once per commodity / once per node.  This copy
-    pins that composition so the baseline stays the seed even as the library
-    functions underneath keep getting faster.
+    The step is ``GradientAlgorithm.step_reference``: the paper-literal
+    scalar walks (flow solve, usage sum, marginal wave, blocked sets) and
+    the per-node ``Gamma`` kernel, once per commodity / once per node --
+    the seed's composition, sharing no kernel with the engine's step.
     """
     ext = algo.ext
-    cfg = algo.config
-    new_phi = routing.phi.copy()
-
-    traffic = solve_traffic_scalar(ext, routing)
-    edge_usage, node_usage = resource_usage(ext, routing, traffic)
-    dadf = link_cost_derivative(ext, cfg.cost_model, edge_usage, node_usage)
-
-    for view in ext.commodities:
-        j = view.index
-        dadr = marginal_cost_to_destination(ext, j, routing, dadf)
-        delta = edge_marginals(ext, j, dadf, dadr)
-        if cfg.use_blocking:
-            blocked = compute_blocked_sets(ext, j, routing, traffic, dadr, delta, eta)
-        else:
-            blocked = None
-        out_lists = ext.commodity_out_edges[j]
-        for node in view.node_indices:
-            if node == view.sink:
-                continue
-            out = out_lists[node]
-            if len(out) < 2:
-                continue
-            apply_gamma_at_node(
-                new_phi[j], traffic[j, node], out, delta, blocked, eta, cfg.traffic_tol
-            )
-    return RoutingState(new_phi)
-
-
-def _reference_iteration(algo, routing, eta):
-    """One iteration of the seed's run loop (``record_every=1``)."""
-    ext = algo.ext
     cost_model = algo.config.cost_model
-    routing = _seed_step(algo, routing, eta)
+    routing = algo.step_reference(routing, eta)
     # convergence check: seed's evaluate_cost re-solved the flow balance
     traffic = solve_traffic_scalar(ext, routing)
     evaluate_cost(ext, routing, cost_model, traffic)

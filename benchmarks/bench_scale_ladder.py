@@ -1,8 +1,8 @@
 """TAB-SCALE-LADDER -- the asymptotic slope of the commodity-major core.
 
-The object core's per-iteration work is the dense cross product ``J*(E+V)``
+A dense engine's per-iteration work is the cross product ``J*(E+V)``
 work-cells (every commodity visits every extended node and edge), which is
-what held the repo at ~100 physical nodes.  The sparse array core
+what held the repo at ~100 physical nodes.  The sparse engine
 (:mod:`repro.core.state`) walks only the allowed cells, so per-iteration
 time should grow **sub-linearly** in ``J*(E+V)`` once sparsity dominates.
 
@@ -22,10 +22,11 @@ smoke runs gave slopes from -0.22 to 0.11, four of them failing the
 ``slope > 0`` check, where six runs of this blocked timing on the same
 code gave 0.12 to 0.17.
 
-Bit-identity with the object core rides along: the 40-node Figure-4
+Bit-identity with the scalar reference rides along: the 40-node Figure-4
 workload and a 120-node reference instance run through
-``DifferentialOracle.compare_cores`` (every iterate must match bit for
-bit), so the rungs can't be fast by being wrong.
+``DifferentialOracle.compare_reference`` (every iterate of the engine's
+step must match the scalar ``step_reference`` bit for bit), so the rungs
+can't be fast by being wrong.
 
 CI smoke mode (``SCALE_SMOKE=1``) keeps the identity oracle and a
 slope-sanity check but swaps the ladder for 120/250-node rungs -- shared
@@ -135,10 +136,14 @@ def test_scale_ladder(benchmark):
     # identity first: the ladder means nothing if the fast core drifts
     oracle = DifferentialOracle()
     config = calibrated_gradient_config(max_iterations=ORACLE_ITERATIONS)
-    fig40 = oracle.compare_cores(paper_figure4_network(seed=7), config=config)
+    fig40 = oracle.compare_reference(
+        paper_figure4_network(seed=7), iterations=ORACLE_ITERATIONS, config=config
+    )
     assert fig40.bit_identical and fig40.passed, fig40.summary()
-    rand120 = oracle.compare_cores(
-        random_stream_network(_reference_120(), seed=11), config=config
+    rand120 = oracle.compare_reference(
+        random_stream_network(_reference_120(), seed=11),
+        iterations=ORACLE_ITERATIONS,
+        config=config,
     )
     assert rand120.bit_identical and rand120.passed, rand120.summary()
 

@@ -30,14 +30,14 @@ from conftest import emit
 
 from repro import GradientConfig
 from repro.analysis import TableBuilder, iterations_to_fraction
-from repro.core.blocking import compute_blocked_sets
+from repro.core.blocking import compute_all_blocked_sets
 from repro.core.gradient import apply_gamma_at_node
 from repro.core.marginals import (
     CostModel,
-    edge_marginals,
+    all_edge_marginals,
+    all_marginal_costs,
     evaluate_cost,
     link_cost_derivative,
-    marginal_cost_to_destination,
 )
 from repro.core.routing import initial_routing, resource_usage, solve_traffic
 
@@ -53,8 +53,7 @@ def run_with_stale_marginals(ext, refresh_every: int, record_every: int = 10):
     cfg = GradientConfig(eta=ETA)
     cost_model = CostModel(eps=0.2)
     routing = initial_routing(ext)
-    deltas = [None] * ext.num_commodities
-    blocked = [None] * ext.num_commodities
+    deltas = blocked = None
     iterations, utilities = [], []
 
     for iteration in range(1, MAX_ITERATIONS + 1):
@@ -62,13 +61,11 @@ def run_with_stale_marginals(ext, refresh_every: int, record_every: int = 10):
         if (iteration - 1) % refresh_every == 0:
             edge_usage, node_usage = resource_usage(ext, routing, traffic)
             dadf = link_cost_derivative(ext, cost_model, edge_usage, node_usage)
-            for view in ext.commodities:
-                j = view.index
-                dadr = marginal_cost_to_destination(ext, j, routing, dadf)
-                deltas[j] = edge_marginals(ext, j, dadf, dadr)
-                blocked[j] = compute_blocked_sets(
-                    ext, j, routing, traffic, dadr, deltas[j], ETA
-                )
+            dadr = all_marginal_costs(ext, routing, dadf)
+            deltas = all_edge_marginals(ext, dadf, dadr)
+            blocked = compute_all_blocked_sets(
+                ext, routing, traffic, dadr, deltas, ETA
+            )
         new_phi = routing.phi.copy()
         for view in ext.commodities:
             j = view.index

@@ -29,9 +29,13 @@ out-links is improper or if any positive-``phi`` downstream neighbour's
 broadcast was tagged; hence tags flood upstream.  ``B_i(j)`` is then the set
 of neighbours ``k`` with ``phi_ik(j) = 0`` whose broadcast arrived tagged.
 
-The synchronous implementation below computes exactly the tags that protocol
-would deliver (the message-passing version lives in
-:mod:`repro.simulation.agent` and is tested to agree).
+The engine computes exactly the tags that protocol would deliver with
+:meth:`repro.core.state.ModelState.blocked_sets_block`, one reverse-level
+sweep over every commodity's cells; :func:`compute_all_blocked_sets` is
+that kernel over all commodities.  The per-commodity functions below are
+the paper-literal scalar walks it is pinned bit-identical against (the
+message-passing version lives in :mod:`repro.simulation.agent` and is
+tested to agree).
 """
 
 from __future__ import annotations
@@ -39,12 +43,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.routing import RoutingState
+from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork
 
 __all__ = [
     "improper_links",
     "node_tags",
-    "compute_blocked_sets",
     "compute_all_blocked_sets",
     "compute_blocked_sets_scalar",
 ]
@@ -62,26 +66,27 @@ def improper_links(
 ) -> np.ndarray:
     """Boolean mask over edges: is edge ``e`` an improper link for commodity ``j``?
 
-    Implements the three conditions above, vectorized over the commodity's
-    allowed edge array.  A tail with ``t_l(j) = 0`` can always zero the link
-    in one update (``Delta = phi``), so such links are never improper.
+    Scalar walk of the three conditions above over the commodity's allowed
+    edges.  A tail with ``t_l(j) = 0`` can always zero the link in one
+    update (``Delta = phi``), so such links are never improper.
     """
     phi = routing.phi[j]
     g = ext.node_potentials[j]
     improper = np.zeros(ext.num_edges, dtype=bool)
-    edges = ext.commodity_edge_arrays[j]
-    if edges.size == 0:
-        return improper
-    tails = ext.edge_tail[edges]
-    heads = ext.edge_head[edges]
-    frac = phi[edges]
-    t_tail = traffic[j, tails]
-    # identical comparisons to the scalar reference, all-at-once
-    carries = frac > phi_positive_tol
-    uphill = g[tails] * dadr[tails] <= g[heads] * dadr[heads]
-    movable = t_tail > 0.0
-    threshold = (eta / np.where(movable, t_tail, 1.0)) * (delta[edges] - dadr[tails])
-    improper[edges] = carries & uphill & movable & (frac >= threshold)
+    for e in ext.commodities[j].edge_indices:
+        frac = phi[e]
+        if frac <= phi_positive_tol:
+            continue
+        tail = ext.edge_tail[e]
+        head = ext.edge_head[e]
+        if g[tail] * dadr[tail] > g[head] * dadr[head]:
+            continue
+        t_tail = traffic[j, tail]
+        if t_tail <= 0.0:
+            continue  # the update can fully remove this link's fraction
+        threshold = (eta / t_tail) * (delta[e] - dadr[tail])
+        if frac >= threshold:
+            improper[e] = True
     return improper
 
 
@@ -95,46 +100,24 @@ def node_tags(
     """Propagate tags upstream: ``tag[l]`` iff some routing path from ``l`` to
     the sink crosses an improper link.
 
-    Runs the commodity's flow-plan blocks backward -- the same reverse
-    topological wave the protocol's upstream broadcast performs, one
-    ``np.logical_or`` scatter per level instead of a Python loop per edge.
+    Walks the commodity's nodes in reverse topological order -- the same
+    upstream wave the protocol's broadcast performs: a node is tagged if
+    one of its out-links is improper or carries flow to a tagged head.
     """
-    plan = ext.flow_plans[j]
     phi = routing.phi[j]
+    view = ext.commodities[j]
     tags = np.zeros(ext.num_nodes, dtype=bool)
-    edges, tails, heads, offsets = plan.edges, plan.tails, plan.heads, plan.offsets
-    for b in range(len(offsets) - 1, 0, -1):
-        s, e = offsets[b - 1], offsets[b]
-        ee = edges[s:e]
-        contrib = improper[ee] | ((phi[ee] > phi_positive_tol) & tags[heads[s:e]])
-        np.logical_or.at(tags, tails[s:e], contrib)
+    out_lists = ext.commodity_out_edges[j]
+    for node in reversed(view.topo_order):
+        if node == view.sink:
+            continue
+        for e in out_lists[node]:
+            if improper[e] or (
+                phi[e] > phi_positive_tol and tags[ext.edge_head[e]]
+            ):
+                tags[node] = True
+                break
     return tags
-
-
-def compute_blocked_sets(
-    ext: ExtendedNetwork,
-    j: int,
-    routing: RoutingState,
-    traffic: np.ndarray,
-    dadr: np.ndarray,
-    delta: np.ndarray,
-    eta: float,
-    phi_zero_tol: float = 1e-12,
-) -> np.ndarray:
-    """Boolean mask over edges: ``blocked[e]`` iff ``head(e) in B_tail(e)(j)``.
-
-    A blocked edge must keep ``phi = 0`` in the coming update (eq. (14)).
-    Only zero-``phi`` edges toward tagged heads are blocked -- edges already
-    carrying flow are handled by the reduction rule instead.
-    """
-    improper = improper_links(ext, j, routing, traffic, dadr, delta, eta)
-    tags = node_tags(ext, j, routing, improper)
-    phi = routing.phi[j]
-    blocked = np.zeros(ext.num_edges, dtype=bool)
-    edges = ext.commodity_edge_arrays[j]
-    if edges.size:
-        blocked[edges] = (phi[edges] <= phi_zero_tol) & tags[ext.edge_head[edges]]
-    return blocked
 
 
 def compute_all_blocked_sets(
@@ -147,71 +130,28 @@ def compute_all_blocked_sets(
     phi_zero_tol: float = 1e-12,
     phi_positive_tol: float = 1e-12,
 ) -> np.ndarray:
-    """:func:`compute_blocked_sets` for every commodity in one pass: ``(J, E)``.
+    """Blocked sets of every commodity in one pass: ``(J, E)`` bool.
 
-    Flattens the commodities' disjoint index spaces (node ``j*V + v``, edge
-    ``j*E + e``) so the improper-link test is a single vector comparison and
-    the tag flood is one cross-commodity reverse wave.  Row ``j`` is
-    elementwise identical to the per-commodity function.  ``dadr`` and
-    ``delta`` are the stacked ``(J, V)`` / ``(J, E)`` arrays.
+    ``blocked[j, e]`` iff ``head(e) in B_tail(e)(j)``: a blocked edge must
+    keep ``phi = 0`` in the coming update (eq. (14)).  ``dadr`` and
+    ``delta`` are the stacked ``(J, V)`` / ``(J, E)`` arrays.  Runs
+    :meth:`~repro.core.state.ModelState.blocked_sets_block` over
+    commodities ``[0, J)``; row ``j`` is identical to
+    :func:`compute_blocked_sets_scalar`.
     """
-    mel = ext.merged_edge_list
-    num_flat_edges = ext.num_commodities * ext.num_edges
-    phi_flat = routing.phi.reshape(-1)
-    t_flat = traffic.reshape(-1)
-    dadr_flat = dadr.reshape(-1)
-    delta_flat = delta.reshape(-1)
-
     blocked = np.zeros((ext.num_commodities, ext.num_edges), dtype=bool)
-    fe, ft, fh = mel.edges, mel.tails, mel.heads
-    if fe.size == 0:
-        return blocked
-
-    frac = phi_flat[fe]
-    t_tail = t_flat[ft]
-    dadr_tail = dadr_flat[ft]
-    carries = frac > phi_positive_tol
-    uphill = mel.g_tails * dadr_tail <= mel.g_heads * dadr_flat[fh]
-    movable = t_tail > 0.0
-    threshold = (eta / np.where(movable, t_tail, 1.0)) * (
-        delta_flat[fe] - dadr_tail
+    ModelState.of(ext).blocked_sets_block(
+        blocked.reshape(-1),
+        routing.phi.reshape(-1),
+        traffic.reshape(-1),
+        dadr.reshape(-1),
+        delta.reshape(-1),
+        eta,
+        0,
+        ext.num_commodities,
+        phi_zero_tol,
+        phi_positive_tol,
     )
-    improper_vals = carries & uphill & movable & (frac >= threshold)
-    if not improper_vals.any():
-        # no improper link anywhere => no tag can flood => nothing is blocked
-        return blocked
-
-    # per-level positions into the merged edge list let the flood reuse the
-    # masks already computed above instead of scattering them dense and
-    # re-gathering (plus re-testing phi) at every level
-    cached = getattr(ext, "_reverse_level_mel_pos", None)
-    if cached is None:
-        lookup = np.empty(num_flat_edges, dtype=np.intp)
-        lookup[fe] = np.arange(fe.size)
-        level_pos = [
-            lookup[edges] for edges, *_rest in ext.merged_reverse_plan.levels
-        ]
-        mel_level = np.empty(fe.size, dtype=np.intp)
-        for b, pos in enumerate(level_pos):
-            mel_level[pos] = b
-        cached = ext._reverse_level_mel_pos = (level_pos, mel_level)
-    level_pos, mel_level = cached
-
-    # tags are all-False until the first level holding an improper edge, so
-    # every earlier level's flood pass is a no-op; start there
-    first = int(mel_level[np.flatnonzero(improper_vals)].min())
-
-    tags = np.zeros(ext.num_commodities * ext.num_nodes, dtype=bool)
-    for (edges, _raw, tails, heads, _gains, _costs, _uh, unique_tails), pos in zip(
-        ext.merged_reverse_plan.levels[first:], level_pos[first:]
-    ):
-        contrib = improper_vals[pos] | (carries[pos] & tags[heads])
-        if unique_tails:
-            tags[tails] |= contrib
-        else:
-            np.logical_or.at(tags, tails, contrib)
-
-    blocked.reshape(-1)[fe] = (frac <= phi_zero_tol) & tags[fh]
     return blocked
 
 
@@ -226,48 +166,20 @@ def compute_blocked_sets_scalar(
     phi_zero_tol: float = 1e-12,
     phi_positive_tol: float = 1e-12,
 ) -> np.ndarray:
-    """Reference scalar implementation of :func:`compute_blocked_sets`.
+    """Boolean mask over edges: ``blocked[e]`` iff ``head(e) in B_tail(e)(j)``.
 
-    Pure-Python edge walk, kept as the ground truth the vectorized pipeline
-    is asserted identical against in the property tests.
+    The scalar reference: :func:`improper_links`, then :func:`node_tags`,
+    then a walk over the commodity's edges.  Only zero-``phi`` edges toward
+    tagged heads are blocked -- edges already carrying flow are handled by
+    the reduction rule instead.
     """
+    improper = improper_links(
+        ext, j, routing, traffic, dadr, delta, eta, phi_positive_tol
+    )
+    tags = node_tags(ext, j, routing, improper, phi_positive_tol)
     phi = routing.phi[j]
-    g = ext.node_potentials[j]
-    view = ext.commodities[j]
-
-    improper = np.zeros(ext.num_edges, dtype=bool)
-    for e in view.edge_indices:
-        frac = phi[e]
-        if frac <= phi_positive_tol:
-            continue
-        tail = ext.edge_tail[e]
-        head = ext.edge_head[e]
-        if g[tail] * dadr[tail] > g[head] * dadr[head]:
-            continue
-        t_tail = traffic[j, tail]
-        if t_tail <= 0.0:
-            continue  # the update can fully remove this link's fraction
-        threshold = (eta / t_tail) * (delta[e] - dadr[tail])
-        if frac >= threshold:
-            improper[e] = True
-
-    tags = np.zeros(ext.num_nodes, dtype=bool)
-    out_lists = ext.commodity_out_edges[j]
-    for node in reversed(view.topo_order):
-        if node == view.sink:
-            continue
-        tagged = False
-        for e in out_lists[node]:
-            if improper[e]:
-                tagged = True
-                break
-            if phi[e] > phi_positive_tol and tags[ext.edge_head[e]]:
-                tagged = True
-                break
-        tags[node] = tagged
-
     blocked = np.zeros(ext.num_edges, dtype=bool)
-    for e in view.edge_indices:
+    for e in ext.commodities[j].edge_indices:
         if phi[e] <= phi_zero_tol and tags[ext.edge_head[e]]:
             blocked[e] = True
     return blocked

@@ -25,13 +25,12 @@ import numpy as np
 from repro.core.marginals import (
     CostBreakdown,
     CostModel,
-    all_edge_marginals,
     all_marginal_costs,
     evaluate_cost,
     link_cost_derivative,
 )
 from repro.core.routing import RoutingState, resource_usage, solve_traffic
-from repro.core.state import ModelState, use_array_core
+from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork
 from repro.obs.instrumentation import NULL_INSTRUMENTATION
 
@@ -88,16 +87,11 @@ def build_iteration_context(
         with instrumentation.phase("derivatives"):
             dadf = link_cost_derivative(ext, cost_model, edge_usage, node_usage)
             dadr = all_marginal_costs(ext, routing, dadf)
-            if use_array_core():
-                # sparse fill over the allowed cells only: every consumer of
-                # the context's delta masks to allowed cells, where this is
-                # bit-identical to the dense table (off-graph cells read 0.0
-                # here instead of the meaningless dense dadr[head] term)
-                delta = ModelState.of(ext).edge_marginals_dense(
-                    dadf, dadr.reshape(-1)
-                )
-            else:
-                delta = all_edge_marginals(ext, dadf, dadr)
+            # sparse fill over the allowed cells only: every consumer of the
+            # context's delta masks to allowed cells, where this is
+            # bit-identical to the dense table (off-graph cells read 0.0
+            # here instead of the meaningless dense dadr[head] term)
+            delta = ModelState.of(ext).edge_marginals_dense(dadf, dadr.reshape(-1))
     return IterationContext(
         routing=routing,
         traffic=traffic,

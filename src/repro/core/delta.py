@@ -23,8 +23,9 @@ recompiling the world:
   pay for re-derivation.  Untouched commodities' cost/gain/allowed rows,
   topological orders, and :class:`CommodityFlowPlan`/
   :class:`CommodityGammaPlan` structures are *remapped* onto the new index
-  space with vectorized gathers; the merged cross-commodity plans then
-  splice themselves from the per-commodity plans.
+  space with vectorized gathers; the merged Gamma plan and the
+  :class:`~repro.core.state.ModelState` then build lazily from the
+  per-commodity plans.
 
 Index stability is what makes the remap sound: extended nodes are keyed by
 name and extended edges by ``(kind, physical link)`` or ``(kind, commodity
@@ -47,13 +48,14 @@ asserts bit-identity at every step (see docs/online.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.commodity import StreamNetwork
 from repro.core.routing import RoutingState, initial_routing
+from repro.core.state import ModelState, WaveLevel
 from repro.core.transform import (
     CommodityFlowPlan,
     CommodityGammaPlan,
@@ -444,9 +446,9 @@ def _splice(
 def _remap_flow_plan(
     plan: CommodityFlowPlan, node_map: np.ndarray, edge_map: np.ndarray
 ) -> CommodityFlowPlan:
-    # gains/costs/offsets/unique_heads are index-free: share them with the
-    # old plan (the remap is only valid when every element survived in
-    # relative order, so block structure and values are unchanged)
+    # gains/costs/offsets are index-free: share them with the old plan (the
+    # remap is only valid when every element survived in relative order, so
+    # block structure and values are unchanged)
     return CommodityFlowPlan(
         edges=np.ascontiguousarray(edge_map[plan.edges]),
         tails=np.ascontiguousarray(node_map[plan.tails]),
@@ -454,7 +456,6 @@ def _remap_flow_plan(
         gains=plan.gains,
         costs=plan.costs,
         offsets=plan.offsets,
-        unique_heads=plan.unique_heads,
     )
 
 
@@ -481,8 +482,8 @@ def _splice_plans(
 
     Only plans the old network had actually built are carried (building
     them eagerly would *cost* time on consumers that never iterate).  The
-    merged cross-commodity plans rebuild lazily from the per-commodity
-    plans, which is a cheap concatenation.
+    merged Gamma plan and the :class:`~repro.core.state.ModelState` rebuild
+    lazily from the per-commodity plans.
     """
     if old._flow_plans is not None:
         new._flow_plans = [
@@ -566,7 +567,10 @@ def diff_extended_networks(
 
     Empty list means the two networks are indistinguishable to every
     consumer: same nodes/edges/views, same arrays, and (with
-    ``compare_plans``) same vectorization plans.  Epochs are deliberately
+    ``compare_plans``) same vectorization plans -- the per-commodity plans,
+    the merged Gamma plan, and the :class:`~repro.core.state.ModelState`
+    arrays (cell list, wave levels, ``gamma_starts``), which are built on
+    both networks if they were not already.  Epochs are deliberately
     not compared -- a spliced network and a from-scratch rebuild of the
     same instance legitimately disagree there.
     """
@@ -634,38 +638,37 @@ def diff_extended_networks(
         _diff_arrays(f"flow_plans[{j}].gains", pa.gains, pb.gains, diffs)
         _diff_arrays(f"flow_plans[{j}].costs", pa.costs, pb.costs, diffs)
         _diff_arrays(f"flow_plans[{j}].offsets", pa.offsets, pb.offsets, diffs)
-        _diff_arrays(
-            f"flow_plans[{j}].unique_heads", pa.unique_heads, pb.unique_heads, diffs
-        )
     for j, (ga, gb) in enumerate(zip(a.gamma_plans, b.gamma_plans)):
         _diff_arrays(f"gamma_plans[{j}].nodes", ga.nodes, gb.nodes, diffs)
         _diff_arrays(
             f"gamma_plans[{j}].edge_matrix", ga.edge_matrix, gb.edge_matrix, diffs
         )
         _diff_arrays(f"gamma_plans[{j}].valid", ga.valid, gb.valid, diffs)
-    for name, pa, pb in (
-        ("merged_forward_plan", a.merged_forward_plan, b.merged_forward_plan),
-        ("merged_reverse_plan", a.merged_reverse_plan, b.merged_reverse_plan),
-    ):
-        _diff_arrays(f"{name}.edges", pa.edges, pb.edges, diffs)
-        _diff_arrays(f"{name}.raw_edges", pa.raw_edges, pb.raw_edges, diffs)
-        _diff_arrays(f"{name}.tails", pa.tails, pb.tails, diffs)
-        _diff_arrays(f"{name}.heads", pa.heads, pb.heads, diffs)
-        _diff_arrays(f"{name}.gains", pa.gains, pb.gains, diffs)
-        _diff_arrays(f"{name}.costs", pa.costs, pb.costs, diffs)
-        _diff_arrays(f"{name}.offsets", pa.offsets, pb.offsets, diffs)
-        _diff_arrays(f"{name}.unique_heads", pa.unique_heads, pb.unique_heads, diffs)
-    mel_a, mel_b = a.merged_edge_list, b.merged_edge_list
-    _diff_arrays("merged_edge_list.edges", mel_a.edges, mel_b.edges, diffs)
-    _diff_arrays("merged_edge_list.raw_edges", mel_a.raw_edges, mel_b.raw_edges, diffs)
-    _diff_arrays("merged_edge_list.tails", mel_a.tails, mel_b.tails, diffs)
-    _diff_arrays("merged_edge_list.heads", mel_a.heads, mel_b.heads, diffs)
-    _diff_arrays("merged_edge_list.g_tails", mel_a.g_tails, mel_b.g_tails, diffs)
-    _diff_arrays("merged_edge_list.g_heads", mel_a.g_heads, mel_b.g_heads, diffs)
     mga, mgb = a.merged_gamma_plan, b.merged_gamma_plan
     _diff_arrays("merged_gamma_plan.nodes", mga.nodes, mgb.nodes, diffs)
     _diff_arrays(
         "merged_gamma_plan.edge_matrix", mga.edge_matrix, mgb.edge_matrix, diffs
     )
     _diff_arrays("merged_gamma_plan.valid", mga.valid, mgb.valid, diffs)
+    sa, sb = ModelState.of(a), ModelState.of(b)
+    for name in (
+        "cell_raw", "cell_edges", "cell_tails", "cell_heads", "cell_cost",
+        "cell_gain", "cell_g_tail", "cell_g_head", "cell_starts", "gamma_starts",
+    ):
+        _diff_arrays(f"state.{name}", getattr(sa, name), getattr(sb, name), diffs)
+    for wave in ("forward_levels", "reverse_levels"):
+        levels_a, levels_b = getattr(sa, wave), getattr(sb, wave)
+        if len(levels_a) != len(levels_b):
+            diffs.append(
+                f"state.{wave}: {len(levels_a)} != {len(levels_b)} levels"
+            )
+            continue
+        for k, (la, lb) in enumerate(zip(levels_a, levels_b)):
+            for f in fields(WaveLevel):
+                _diff_arrays(
+                    f"state.{wave}[{k}].{f.name}",
+                    getattr(la, f.name),
+                    getattr(lb, f.name),
+                    diffs,
+                )
     return diffs

@@ -46,7 +46,7 @@ from repro.core.result import RunResultMixin
 from repro.core.routing import (
     RoutingState,
     initial_routing,
-    resource_usage,
+    resource_usage_scalar,
     solve_traffic_scalar,
     utilization_profile,
     validate_routing,
@@ -403,9 +403,9 @@ class GradientAlgorithm:
 
         The actual work happens in the configured execution backend
         (:class:`repro.parallel.SerialBackend` by default, or a
-        :class:`repro.parallel.ParallelBackend` sharding the per-commodity
-        kernels across worker processes).  Every backend produces
-        bit-identical iterates.
+        :class:`repro.parallel.ParallelBackend` sharding the
+        :class:`~repro.core.state.ModelState` row-block kernels across
+        worker processes).  Every backend produces bit-identical iterates.
         """
         return self.backend.step(
             routing, eta=eta, context=context, instrumentation=instrumentation
@@ -414,12 +414,14 @@ class GradientAlgorithm:
     def step_reference(
         self, routing: RoutingState, eta: Optional[float] = None
     ) -> RoutingState:
-        """Pure-scalar application of ``Gamma`` (the seed implementation).
+        """Pure-scalar application of ``Gamma``: the reference engine.
 
-        Recomputes everything with the scalar flow solve, the scalar
-        marginal wave, the scalar blocked sets, and the per-node kernel.
-        Kept as the ground truth :meth:`step` is asserted bit-identical
-        against in the tests and the iteration-core benchmark.
+        Recomputes everything with the paper-literal walks -- the scalar
+        flow solve, the scalar usage sum, the scalar marginal wave, the
+        scalar blocked sets, and the per-node kernel -- sharing no kernel
+        with :meth:`step`.  It is the ground truth :meth:`step` is asserted
+        bit-identical against by the tests, the iteration-core benchmark
+        and :meth:`repro.validate.DifferentialOracle.compare_reference`.
         """
         ext = self.ext
         cfg = self.config
@@ -428,7 +430,7 @@ class GradientAlgorithm:
         new_phi = routing.phi.copy()
 
         traffic = solve_traffic_scalar(ext, routing)
-        edge_usage, node_usage = resource_usage(ext, routing, traffic)
+        edge_usage, node_usage = resource_usage_scalar(ext, routing, traffic)
         dadf = link_cost_derivative(ext, cfg.cost_model, edge_usage, node_usage)
 
         for view in ext.commodities:

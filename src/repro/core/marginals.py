@@ -10,7 +10,9 @@ This module evaluates ``A`` and the three derivative objects the distributed
 algorithm needs:
 
 * ``dA_i/df_ik``     -- eq. (11), via :func:`link_cost_derivative`;
-* ``dA/dr_i(j)``     -- eq. (9),  via :func:`marginal_cost_to_destination`;
+* ``dA/dr_i(j)``     -- eq. (9),  via :func:`all_marginal_costs` (the
+  engine's reverse wave) and :func:`marginal_cost_to_destination_scalar`
+  (the per-commodity scalar reference it is pinned bit-identical against);
 * ``dA/dphi_ik(j)``  -- eq. (10), via :func:`phi_gradient`;
 
 plus the optimality residuals of Theorem 2 (eqs. (12), (13)), which tests and
@@ -31,7 +33,7 @@ from repro.core.routing import (
     resource_usage,
     solve_traffic,
 )
-from repro.core.state import ModelState, use_array_core
+from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork
 
 __all__ = [
@@ -39,7 +41,6 @@ __all__ = [
     "CostBreakdown",
     "evaluate_cost",
     "link_cost_derivative",
-    "marginal_cost_to_destination",
     "marginal_cost_to_destination_scalar",
     "all_marginal_costs",
     "edge_marginals",
@@ -190,7 +191,7 @@ def link_cost_derivative(
     return dadf
 
 
-def marginal_cost_to_destination(
+def marginal_cost_to_destination_scalar(
     ext: ExtendedNetwork,
     j: int,
     routing: RoutingState,
@@ -198,37 +199,12 @@ def marginal_cost_to_destination(
 ) -> np.ndarray:
     """Eq. (9): ``dA/dr_i(j)`` for every node, for one commodity.
 
-    Computed in reverse topological order of the commodity DAG with the
-    boundary condition ``dA/dr_j(j) = 0`` at the sink -- exactly the
-    information wave the distributed protocol propagates upstream.
-    Nodes outside the commodity subgraph get 0.
-
-    Runs the commodity's :class:`~repro.core.transform.CommodityFlowPlan`
-    blocks *backward*: per block, per-edge contributions from already-final
-    downstream values, scattered into the tails with an ordered
-    ``np.add.at`` -- bit identical to
-    :func:`marginal_cost_to_destination_scalar`.
+    The scalar reference of :func:`all_marginal_costs`: a walk in reverse
+    topological order of the commodity DAG with the boundary condition
+    ``dA/dr_j(j) = 0`` at the sink -- exactly the information wave the
+    distributed protocol propagates upstream.  Nodes outside the commodity
+    subgraph get 0.
     """
-    plan = ext.flow_plans[j]
-    pj = routing.phi[j]
-    dadr = np.zeros(ext.num_nodes, dtype=float)
-    edges, tails, heads = plan.edges, plan.tails, plan.heads
-    gains, costs, offsets = plan.gains, plan.costs, plan.offsets
-    for b in range(len(offsets) - 1, 0, -1):
-        s, e = offsets[b - 1], offsets[b]
-        ee = edges[s:e]
-        contrib = pj[ee] * (dadf[ee] * costs[s:e] + gains[s:e] * dadr[heads[s:e]])
-        np.add.at(dadr, tails[s:e], contrib)
-    return dadr
-
-
-def marginal_cost_to_destination_scalar(
-    ext: ExtendedNetwork,
-    j: int,
-    routing: RoutingState,
-    dadf: np.ndarray,
-) -> np.ndarray:
-    """Reference scalar implementation of :func:`marginal_cost_to_destination`."""
     view = ext.commodities[j]
     phi = routing.phi
     dadr = np.zeros(ext.num_nodes, dtype=float)
@@ -251,34 +227,14 @@ def marginal_cost_to_destination_scalar(
 def all_marginal_costs(
     ext: ExtendedNetwork, routing: RoutingState, dadf: np.ndarray
 ) -> np.ndarray:
-    """``dA/dr`` for all commodities: shape ``(J, V)``.
+    """``dA/dr`` for all commodities: shape ``(J, V)`` (eq. (9)).
 
-    One cross-commodity reverse wave over the merged levels of
-    :class:`~repro.core.transform.MergedWavePlan`: the commodities' flattened
-    index spaces are disjoint, so a single ordered scatter per level yields
-    each row bit-identical to :func:`marginal_cost_to_destination`.
-
-    Under the array core (the default) the wave runs as ordered
-    ``np.bincount`` sweeps over :class:`repro.core.state.ModelState`'s
-    height levels -- same contributions in the same order, still bit
-    identical.
+    One cross-commodity reverse wave: ordered ``np.bincount`` sweeps over
+    the height levels of :class:`repro.core.state.ModelState`, which add
+    the scalar walk's contributions in its order -- row ``j`` is bit
+    identical to :func:`marginal_cost_to_destination_scalar`.
     """
-    phi_flat = routing.phi.reshape(-1)
-    if use_array_core():
-        return ModelState.of(ext).marginal_costs(phi_flat, dadf)
-    dadr = np.zeros((ext.num_commodities, ext.num_nodes), dtype=float)
-    dadr_flat = dadr.reshape(-1)
-    for edges, raw, tails, heads, gains, costs, _uh, unique_tails in (
-        ext.merged_reverse_plan.levels
-    ):
-        contrib = phi_flat[edges] * (
-            dadf[raw] * costs + gains * dadr_flat[heads]
-        )
-        if unique_tails:
-            dadr_flat[tails] += contrib
-        else:
-            np.add.at(dadr_flat, tails, contrib)
-    return dadr
+    return ModelState.of(ext).marginal_costs(routing.phi.reshape(-1), dadf)
 
 
 def edge_marginals(
@@ -317,11 +273,11 @@ def phi_gradient(
         traffic = solve_traffic(ext, routing)
     edge_usage, node_usage = resource_usage(ext, routing, traffic)
     dadf = link_cost_derivative(ext, cost_model, edge_usage, node_usage)
+    dadr = all_marginal_costs(ext, routing, dadf)
     grad = np.zeros_like(routing.phi)
     for view in ext.commodities:
         j = view.index
-        dadr = marginal_cost_to_destination(ext, j, routing, dadf)
-        delta = edge_marginals(ext, j, dadf, dadr)
+        delta = edge_marginals(ext, j, dadf, dadr[j])
         grad[j] = traffic[j, ext.edge_tail] * delta * ext.allowed[j]
     return grad
 
@@ -371,18 +327,21 @@ def optimality_residual(
         traffic = solve_traffic(ext, routing)
         edge_usage, node_usage = resource_usage(ext, routing, traffic)
         dadf = link_cost_derivative(ext, cost_model, edge_usage, node_usage)
+    if context is not None and context.dadr is not None:
+        dadr_all, delta_all = context.dadr, context.delta
+    else:
+        # a parallel-backend context carries dadf but not the stacked
+        # derivative arrays; run the reverse wave here then
+        dadr_all, delta_all = all_marginal_costs(ext, routing, dadf), None
 
     per_equal: List[float] = []
     per_sufficient: List[float] = []
     for view in ext.commodities:
         j = view.index
-        if context is not None and context.dadr is not None:
-            # a parallel-backend context carries dadf but not the stacked
-            # derivative arrays; fall through to the per-commodity wave then
-            dadr = context.dadr[j]
-            delta = context.delta[j]
+        dadr = dadr_all[j]
+        if delta_all is not None:
+            delta = delta_all[j]
         else:
-            dadr = marginal_cost_to_destination(ext, j, routing, dadf)
             delta = edge_marginals(ext, j, dadf, dadr)
         worst_equal = 0.0
         worst_sufficient = 0.0

@@ -15,6 +15,11 @@ Because every commodity's allowed subgraph in the extended network is a DAG,
 eq. (3) is solved exactly by a single pass in topological order; a sparse
 linear solver is provided as an independent cross-check (the paper notes
 eq. (3) "has a unique solution of t given r and phi").
+
+:func:`solve_traffic` and :func:`resource_usage` run the
+:class:`~repro.core.state.ModelState` sweeps; :func:`solve_traffic_scalar`
+and :func:`resource_usage_scalar` are the paper-literal walks they are
+pinned bit-identical against.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.core.state import ModelState, use_array_core
+from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork, ExtNodeKind
 from repro.exceptions import InfeasibleError, RoutingError
 
@@ -38,11 +43,11 @@ __all__ = [
     "external_inputs",
     "external_inputs_rows",
     "solve_traffic",
-    "solve_traffic_commodity",
     "solve_traffic_scalar",
     "solve_traffic_linear",
     "commodity_edge_flows",
     "resource_usage",
+    "resource_usage_scalar",
     "admitted_rates",
     "utilization_profile",
     "FeasibilityReport",
@@ -177,64 +182,13 @@ def solve_traffic(ext: ExtendedNetwork, routing: RoutingState) -> np.ndarray:
     each extended node.  Exact in one topological pass per commodity because
     the allowed subgraphs are DAGs.
 
-    Vectorized over the cross-commodity levels of
-    :class:`repro.core.transform.MergedWavePlan`: per level, one gather of
-    tail traffic and one ordered scatter-add into the heads, covering every
-    commodity at once through flattened disjoint index spaces.  ``np.add.at``
-    accumulates element by element in index order (and the fancy ``+=`` fast
-    path only fires when a level's heads are distinct), so the result is bit
-    identical to :func:`solve_traffic_scalar` -- the property tests pin this.
-
-    When the array core is active (the default, see
-    :mod:`repro.core.state`) the levels instead run as ordered
-    ``np.bincount`` sweeps of the cached
-    :class:`~repro.core.state.ModelState`, which add the same contributions
-    in the same order -- still bit identical, pinned by
-    ``DifferentialOracle.compare_cores``.
+    Runs as ordered ``np.bincount`` sweeps over the depth levels of the
+    cached :class:`~repro.core.state.ModelState`, covering every commodity
+    at once; the sweeps add the scalar walk's contributions in its order,
+    so the result is bit identical to :func:`solve_traffic_scalar`.
     """
-    phi_flat = routing.phi.reshape(-1)
     t = external_inputs(ext)
-    if use_array_core():
-        ModelState.of(ext).solve_traffic_into(t.reshape(-1), phi_flat)
-        return t
-    t_flat = t.reshape(-1)
-    for edges, _raw, tails, heads, gains, _costs, unique, _ut in (
-        ext.merged_forward_plan.levels
-    ):
-        contrib = t_flat[tails] * phi_flat[edges] * gains
-        if unique:
-            t_flat[heads] += contrib
-        else:
-            np.add.at(t_flat, heads, contrib)
-    return t
-
-
-def solve_traffic_commodity(
-    ext: ExtendedNetwork, j: int, phi_row: np.ndarray
-) -> np.ndarray:
-    """Row ``j`` of :func:`solve_traffic`: one commodity's flow balance.
-
-    This is the sharding primitive of the process-parallel backend
-    (:mod:`repro.parallel`): commodity subproblems are independent given
-    ``phi``, so each worker runs this per owned commodity.  It walks the
-    commodity's own :class:`~repro.core.transform.CommodityFlowPlan` blocks
-    with the same gather/ordered-scatter discipline as the merged
-    cross-commodity wave -- the commodities' flattened index spaces are
-    disjoint there, so the per-commodity accumulation order is exactly the
-    merged plan's restriction to row ``j`` and the result is bit-identical
-    to ``solve_traffic(ext, routing)[j]`` (pinned by tests).
-    """
-    plan = ext.flow_plans[j]
-    t = np.zeros(ext.num_nodes, dtype=float)
-    t[ext.commodity_dummies[j]] = ext.commodity_max_rates[j]
-    offsets = plan.offsets
-    for b in range(len(offsets) - 1):
-        s, e = offsets[b], offsets[b + 1]
-        contrib = t[plan.tails[s:e]] * phi_row[plan.edges[s:e]] * plan.gains[s:e]
-        if plan.unique_heads[b]:
-            t[plan.heads[s:e]] += contrib
-        else:
-            np.add.at(t, plan.heads[s:e], contrib)
+    ModelState.of(ext).solve_traffic_into(t.reshape(-1), routing.phi.reshape(-1))
     return t
 
 
@@ -310,22 +264,37 @@ def resource_usage(
     tail-node resource consumed by all commodities crossing ``e``;
     ``node_usage[i] = f_i`` sums ``edge_usage`` over ``i``'s out-edges.
 
-    The array core computes this from the allowed cells only (``O(P + E)``
-    instead of the dense ``O(J * E)`` product) with the same per-edge
-    commodity-order association -- bit identical, see
-    :meth:`repro.core.state.ModelState.resource_usage`.
+    Computed from the allowed cells only (``O(P + E)`` instead of the dense
+    ``O(J * E)`` product) by :meth:`repro.core.state.ModelState.
+    resource_usage`, bit identical to :func:`resource_usage_scalar`.
     """
-    if use_array_core():
-        if traffic is None:
-            traffic = solve_traffic(ext, routing)
-        return ModelState.of(ext).resource_usage(
-            routing.phi.reshape(-1), traffic.reshape(-1)
-        )
-    flows = commodity_edge_flows(ext, routing, traffic)
-    # same commodity-order sequential sum as einsum("je,je->e"), less dispatch
-    edge_usage = np.add.reduce(flows * ext.cost, axis=0)
+    if traffic is None:
+        traffic = solve_traffic(ext, routing)
+    return ModelState.of(ext).resource_usage(
+        routing.phi.reshape(-1), traffic.reshape(-1)
+    )
+
+
+def resource_usage_scalar(
+    ext: ExtendedNetwork, routing: RoutingState, traffic: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Reference scalar implementation of :func:`resource_usage`.
+
+    One pure-Python walk over the allowed cells in ``(j, e)`` order, each
+    edge's usage accumulated from zero one commodity at a time, then the
+    node usage binned by tail in edge order.
+    """
+    if traffic is None:
+        traffic = solve_traffic_scalar(ext, routing)
+    phi = routing.phi
+    edge_usage = np.zeros(ext.num_edges, dtype=float)
+    for view in ext.commodities:
+        j = view.index
+        for e in view.edge_indices:
+            edge_usage[e] += traffic[j, ext.edge_tail[e]] * phi[j, e] * ext.cost[j, e]
     node_usage = np.zeros(ext.num_nodes, dtype=float)
-    np.add.at(node_usage, ext.edge_tail, edge_usage)
+    for e in range(ext.num_edges):
+        node_usage[ext.edge_tail[e]] += edge_usage[e]
     return edge_usage, node_usage
 
 

@@ -15,12 +15,15 @@ marginal-cost wave (eqs. (9)-(11)) and the resource-usage sum (eq. (4))
 all become ordered ``np.bincount`` sweeps over the ``P`` allowed cells
 with no per-edge (and no per-commodity) Python in the inner loop.
 
-Bit-identity with the object core
----------------------------------
+Bit-identity with the scalar walks
+----------------------------------
 
 The scalar reference accumulates floating-point sums in a specific order,
 and float addition is not associative, so "mathematically equal" is not
-enough -- this repo pins *bit* identity across every engine.  Every sweep
+enough -- this repo pins *bit* identity between this engine and the
+paper-literal scalar walks (``solve_traffic_scalar``,
+``resource_usage_scalar``, ``marginal_cost_to_destination_scalar``,
+``compute_blocked_sets_scalar``, ``apply_gamma_at_node``).  Every sweep
 here is ``np.bincount(rows, contrib, n)``: each entry carries an integer
 ``rows`` id naming its output bin, and ``bincount`` adds the weights into
 their bins one by one in input order, each bin starting from ``+0.0`` --
@@ -34,18 +37,23 @@ entries are listed in scalar order:
   in-edge order of every head.  Every head's external input is zero (only
   dummy sources receive input and they have no in-edges), so starting the
   bin from zero loses nothing.  Skipped zero contributions add exact
-  ``+0.0`` over non-negative partial sums, the same argument the merged
-  level plans already rely on.
+  ``+0.0`` over non-negative partial sums, which is why the scalar walk's
+  ``frac != 0`` skip cannot change a bit.
 * **Reverse wave.**  Nodes are levelled by longest-path height above the
   sink; each node's ``dA/dr`` is one bin over its out-edges in
   ``commodity_out_edges`` order -- the scalar gather's exact order, from
   the same zero start.
 * **Usage.**  Cells are ordered ``(j, e)``, so the bin of edge ``e``
-  receives its commodity cells in ascending ``j`` -- precisely the
-  sequential axis-0 ``np.add.reduce`` association of the dense path
-  (off-graph dense terms are exact ``+0.0``) -- and each cell's weight is
-  the dense path's ``(t * phi) * cost`` product.  Node usage bins the edge
-  usages by tail in edge order, as the dense path's ordered ``np.add.at``.
+  receives its commodity cells in ascending ``j`` -- the per-cell walk of
+  ``resource_usage_scalar`` -- and each cell's weight is the scalar
+  ``(t * phi) * cost`` product.  Node usage bins the edge usages by tail
+  in edge order, as the scalar walk does.
+* **Blocked sets.**  The improper-link test is elementwise, and the tag
+  flood runs the reverse levels with one ``bincount(...) > 0`` per level:
+  a node's out-edges all share one reverse level, so the level writes
+  each tag once, as the OR of its out-edges.  Tags are all ``False``
+  below the lowest level holding an improper cell, so the flood starts
+  there.
 
 A segmented ``np.add.reduce`` / ``np.add.reduceat`` would *not* do.
 ``reduce`` sums a contiguous run of 8 or more terms pairwise, and
@@ -54,16 +62,9 @@ A segmented ``np.add.reduce`` / ``np.add.reduceat`` would *not* do.
 (fan-in 18, ``Gamma`` width 17 at 1000 nodes), which is why the kernel
 tests carry a fan-in-11 instance.
 
-The oracle (``repro.validate.DifferentialOracle.compare_cores``) and the
-property tests pin all of this on real and randomized instances.
-
-Core selection
---------------
-
-``REPRO_MODEL_CORE`` picks the implementation: ``"array"`` (default, this
-module) or ``"object"`` (the founding per-commodity object-walk core,
-kept as the differential reference for one release).  The switch is read
-per call, so tests can toggle it with ``monkeypatch.setenv``.
+The oracle (``repro.validate.DifferentialOracle.compare_reference``) and
+the kernel tests pin all of this against the scalar walks on real and
+randomized instances.
 
 Sharding
 --------
@@ -72,16 +73,14 @@ Because all hot arrays are commodity-major and levels store their entries
 sorted by commodity, a parallel shard over commodities ``[lo, hi)`` is a
 *contiguous row-block*: :meth:`ModelState.block` precomputes the level
 slices once and the block kernels run the same sweeps restricted to the
-block -- this is what collapses the ~3x per-commodity dispatch handicap of
-the sharded backends (docs/parallelism.md).  Usage is the one sum that
-crosses commodities, so it has no block kernel: the backends run the
-full-width :meth:`ModelState.resource_usage` once every shard's traffic
-rows have landed.
+block; the serial engine's blocked sets are the block ``[0, J)``.  Usage
+is the one sum that crosses commodities, so it has no block kernel: the
+backends run the full-width :meth:`ModelState.resource_usage` once every
+shard's traffic rows have landed.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -93,32 +92,18 @@ __all__ = [
     "ModelState",
     "WaveLevel",
     "BlockPlans",
-    "active_core",
     "use_array_core",
-    "MODEL_CORE_ENV",
-    "MODEL_CORE_NAMES",
 ]
-
-# environment switch between the array core (default) and the legacy
-# object-walk core; read per call so tests can monkeypatch it
-MODEL_CORE_ENV = "REPRO_MODEL_CORE"
-MODEL_CORE_NAMES = ("array", "object")
-
-
-def active_core() -> str:
-    """The selected model core: ``"array"`` (default) or ``"object"``."""
-    name = os.environ.get(MODEL_CORE_ENV) or "array"
-    if name not in MODEL_CORE_NAMES:
-        raise ValueError(
-            f"unknown model core {name!r} in ${MODEL_CORE_ENV}; "
-            f"expected one of {MODEL_CORE_NAMES}"
-        )
-    return name
 
 
 def use_array_core() -> bool:
-    """True when the sparse array core should run the hot path."""
-    return active_core() == "array"
+    """Always ``True``: :class:`ModelState` is the only engine.
+
+    Kept only because ``perfbench/core_trace.py`` imports it, and the
+    benchmark harness under ``perfbench/`` stays fixed from one change to
+    the next so that its runs compare like with like.
+    """
+    return True
 
 
 @dataclass(frozen=True)
@@ -153,8 +138,12 @@ class BlockPlans:
 
     The per-level tuples hold ``(nodes, rows, edges, raw, tails, heads,
     gains, costs, cell_pos)`` sliced to the block, ``rows`` rebased onto the
-    block's ``nodes``; ``gamma_plan`` is the contiguous row-block of the
-    merged Gamma plan (``None`` when the block has no branch nodes).
+    block's ``nodes`` and ``cell_pos`` onto the block's cells;
+    ``cell_level`` names the block reverse level of each of the block's
+    cells (every cell sits in exactly one), which lets the tag flood skip
+    the levels below the first improper cell.  ``gamma_plan`` is the
+    contiguous row-block of the merged Gamma plan (``None`` when the block
+    has no branch nodes).
     """
 
     lo: int
@@ -163,6 +152,7 @@ class BlockPlans:
     reverse: Tuple[tuple, ...]
     cell_lo: int
     cell_hi: int
+    cell_level: np.ndarray
     gamma_plan: Optional[CommodityGammaPlan]
 
 
@@ -368,11 +358,10 @@ class ModelState:
         """Eq. (15)'s bracket as a sparse-filled ``(J, E)`` table.
 
         Allowed cells carry the exact dense expression; off-graph cells are
-        0.0 (the dense object core leaves ``dadr[head]`` there, but every
-        consumer of the iteration context's ``delta`` masks to allowed
-        cells, so the difference is unobservable -- the public
-        :func:`repro.core.marginals.all_edge_marginals` keeps the dense
-        semantics for direct callers).
+        0.0 (the dense :func:`repro.core.marginals.all_edge_marginals`
+        table leaves ``dadr[head]`` there, but every consumer of the
+        iteration context's ``delta`` masks to allowed cells, so the
+        difference is unobservable).
         """
         delta = np.zeros((self.num_commodities, self.num_edges), dtype=float)
         delta.reshape(-1)[self.cell_edges] = (
@@ -388,6 +377,8 @@ class ModelState:
         plans = self._blocks.get(key)
         if plans is not None:
             return plans
+
+        c0, c1 = int(self.cell_starts[lo]), int(self.cell_starts[hi])
 
         def slice_levels(levels: Tuple[WaveLevel, ...]) -> Tuple[tuple, ...]:
             out = []
@@ -406,12 +397,15 @@ class ModelState:
                         lv.heads[s:e],
                         lv.gains[s:e],
                         lv.costs[s:e],
-                        lv.cell_pos[s:e],
+                        lv.cell_pos[s:e] - c0,
                     )
                 )
             return tuple(out)
 
-        c0, c1 = int(self.cell_starts[lo]), int(self.cell_starts[hi])
+        reverse = slice_levels(self.reverse_levels)
+        cell_level = np.zeros(c1 - c0, dtype=np.intp)
+        for k, level in enumerate(reverse):
+            cell_level[level[8]] = k
 
         g0, g1 = int(self.gamma_starts[lo]), int(self.gamma_starts[hi])
         gamma_plan: Optional[CommodityGammaPlan] = None
@@ -427,9 +421,10 @@ class ModelState:
             lo=lo,
             hi=hi,
             forward=slice_levels(self.forward_levels),
-            reverse=slice_levels(self.reverse_levels),
+            reverse=reverse,
             cell_lo=c0,
             cell_hi=c1,
+            cell_level=cell_level,
             gamma_plan=gamma_plan,
         )
         self._blocks[key] = plans
@@ -494,9 +489,13 @@ class ModelState:
         """Eq. (18) blocked sets for rows ``[lo, hi)``, written into the
         pre-cleared ``blocked_flat``; returns whether anything is blocked.
 
-        Identical comparisons to :func:`repro.core.blocking.
-        compute_all_blocked_sets` restricted to the block's cells; the tag
-        flood runs the block's reverse levels (boolean OR, order-free).
+        The same comparisons as :func:`repro.core.blocking.
+        compute_blocked_sets_scalar`, over the block's cells at once;
+        :func:`repro.core.blocking.compute_all_blocked_sets` is the block
+        ``[0, J)``.  The tag flood runs the block's reverse levels from the
+        lowest one holding an improper cell: below it every tag is
+        ``False``.  A node's out-edges share one reverse level, so each
+        level writes its nodes' tags once, as the OR of their out-edges.
         """
         plans = self.block(lo, hi)
         c0, c1 = plans.cell_lo, plans.cell_hi
@@ -521,10 +520,11 @@ class ModelState:
         if not improper.any():
             return False
 
+        first = int(plans.cell_level[improper].min())
         tags = np.zeros(self.num_commodities * self.num_nodes, dtype=bool)
-        for _nodes, _rows, _edges, _raw, tails, heads, _g, _c, cell_pos in plans.reverse:
-            pos = cell_pos - c0
+        for nodes, rows, _e, _r, _t, heads, _g, _c, pos in plans.reverse[first:]:
             contrib = improper[pos] | (carries[pos] & tags[heads])
-            np.logical_or.at(tags, tails, contrib)
-        blocked_flat[fe] = (frac <= phi_zero_tol) & tags[fh]
-        return bool(blocked_flat[fe].any())
+            tags[nodes] = np.bincount(rows, contrib, nodes.size) > 0
+        blocked = (frac <= phi_zero_tol) & tags[fh]
+        blocked_flat[fe] = blocked
+        return bool(blocked.any())

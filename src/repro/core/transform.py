@@ -45,8 +45,6 @@ __all__ = [
     "ExtEdgeKind",
     "CommodityFlowPlan",
     "CommodityGammaPlan",
-    "MergedWavePlan",
-    "MergedEdgeList",
     "ExtendedNetwork",
     "ExtSkeleton",
     "build_extended_network",
@@ -119,12 +117,12 @@ class CommodityFlowPlan:
     scalar flow solve visits them (nodes in topological order, each node's
     out-edges in its ``commodity_out_edges`` order).  ``offsets`` partitions
     that sequence into *blocks*: within a block no edge's tail is the head of
-    an earlier edge of the same block, so a whole block can be evaluated from
-    a single gather of tail traffic and scattered with one ordered
-    ``np.add.at`` -- which accumulates element by element and therefore
-    reproduces the scalar pass bit for bit.  Blocks never split a node's
-    out-edge list.  Traversed forward this solves the flow balance (eq. (3));
-    traversed backward it runs the marginal-cost wave (eq. (9)).
+    an earlier edge of the same block, and blocks never split a node's
+    out-edge list.  :class:`repro.core.state.ModelState` is built from these
+    plans: the scalar order fixes its within-level entry order, and one
+    pass over the blocks (forward, then backward) gives every node its
+    depth and height levels.  The delta splice carries the plans across
+    structural events (:mod:`repro.core.delta`).
     """
 
     edges: np.ndarray  # (P,) edge ids, scalar iteration order
@@ -133,9 +131,6 @@ class CommodityFlowPlan:
     gains: np.ndarray  # (P,) gain[j, edge]
     costs: np.ndarray  # (P,) cost[j, edge]
     offsets: np.ndarray  # (B + 1,) block boundaries into the flat arrays
-    # per block: are all heads distinct?  If so the scatter-add can use the
-    # much faster fancy ``+=`` without changing any accumulation order.
-    unique_heads: np.ndarray  # (B,) bool
 
 
 @dataclass(frozen=True)
@@ -172,65 +167,6 @@ class CommodityGammaPlan:
         object.__setattr__(
             self, "row_starts", np.searchsorted(cell_rows, np.arange(self.nodes.size))
         )
-
-
-@dataclass(frozen=True)
-class MergedWavePlan:
-    """Cross-commodity level structure for one direction of the flow waves.
-
-    Each *level* concatenates one topo block from every commodity (forward:
-    block ``k``; reverse: block ``B_j - 1 - k``, so every commodity's own
-    blocks still execute in order).  All indices are flattened across
-    commodities -- node ``j*V + v``, edge ``j*E + e`` -- which keeps the
-    commodities' index spaces disjoint: a single ordered ``np.add.at`` per
-    level reproduces every commodity's scalar accumulation order exactly
-    while amortizing the per-call NumPy overhead over all of them.
-    """
-
-    edges: np.ndarray  # (P,) flat commodity-edge ids (j*E + e)
-    raw_edges: np.ndarray  # (P,) plain edge ids (for shared per-edge arrays)
-    tails: np.ndarray  # (P,) flat node ids (j*V + v)
-    heads: np.ndarray  # (P,) flat node ids
-    gains: np.ndarray  # (P,) gain[j, edge]
-    costs: np.ndarray  # (P,) cost[j, edge]
-    offsets: np.ndarray  # (L + 1,) level boundaries
-    unique_heads: np.ndarray  # (L,) all heads distinct within the level?
-    # per-level views (edges, raw_edges, tails, heads, gains, costs,
-    # unique_heads, unique_tails) pre-sliced once at build time -- the waves
-    # run every iteration and the slice arithmetic alone is measurable at
-    # this scale.  The two uniqueness flags let forward (scatter by head) and
-    # reverse (scatter by tail) waves use fancy ``+=`` instead of ``ufunc.at``
-    # wherever the level's scatter targets are distinct.
-    levels: Tuple[
-        Tuple[
-            np.ndarray,
-            np.ndarray,
-            np.ndarray,
-            np.ndarray,
-            np.ndarray,
-            np.ndarray,
-            bool,
-            bool,
-        ],
-        ...,
-    ] = ()
-
-
-@dataclass(frozen=True)
-class MergedEdgeList:
-    """All commodities' allowed edges, flat-indexed, in commodity order.
-
-    ``g_tails`` / ``g_heads`` pre-gather the (static) node potentials at each
-    edge's endpoints so the per-iteration improper-link test skips two fancy
-    gathers.
-    """
-
-    edges: np.ndarray  # (P,) flat commodity-edge ids (j*E + e)
-    raw_edges: np.ndarray  # (P,) plain edge ids
-    tails: np.ndarray  # (P,) flat node ids (j*V + v)
-    heads: np.ndarray  # (P,) flat node ids
-    g_tails: np.ndarray = None  # (P,) node_potentials at tails
-    g_heads: np.ndarray = None  # (P,) node_potentials at heads
 
 
 class ExtendedNetwork:
@@ -337,10 +273,7 @@ class ExtendedNetwork:
         self._flow_plans: Optional[List[CommodityFlowPlan]] = None
         self._gamma_plans: Optional[List[CommodityGammaPlan]] = None
         self._commodity_edge_arrays: Optional[List[np.ndarray]] = None
-        self._merged_forward_plan: Optional[MergedWavePlan] = None
-        self._merged_reverse_plan: Optional[MergedWavePlan] = None
         self._merged_gamma_plan: Optional[CommodityGammaPlan] = None
-        self._merged_edge_list: Optional[MergedEdgeList] = None
 
         # the canonical layout this network was built from; set by
         # build_extended_network and the delta splicer.  The splicer reads
@@ -357,11 +290,10 @@ class ExtendedNetwork:
         self._commodity_rows: Optional[np.ndarray] = None
         self._utility_at_max: Optional[np.ndarray] = None
         self._linear_utility_weights: Any = False
-        self._reverse_level_mel_pos: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def flow_plans(self) -> List[CommodityFlowPlan]:
-        """Per-commodity topo-level CSR plans for the vectorized flow passes."""
+        """Per-commodity topo-level CSR plans: :class:`ModelState`'s input."""
         if self._flow_plans is None:
             self._flow_plans = [self._build_flow_plan(c) for c in self.commodities]
         return self._flow_plans
@@ -383,137 +315,11 @@ class ExtendedNetwork:
         return self._commodity_edge_arrays
 
     @property
-    def merged_forward_plan(self) -> MergedWavePlan:
-        """Cross-commodity levels for the forward flow solve (eq. (3))."""
-        if self._merged_forward_plan is None:
-            self._merged_forward_plan = self._build_merged_wave(reverse=False)
-        return self._merged_forward_plan
-
-    @property
-    def merged_reverse_plan(self) -> MergedWavePlan:
-        """Cross-commodity levels for the backward waves (eq. (9), tags)."""
-        if self._merged_reverse_plan is None:
-            self._merged_reverse_plan = self._build_merged_wave(reverse=True)
-        return self._merged_reverse_plan
-
-    @property
     def merged_gamma_plan(self) -> CommodityGammaPlan:
         """All commodities' ``Gamma`` rows in one flat-indexed plan."""
         if self._merged_gamma_plan is None:
             self._merged_gamma_plan = self._build_merged_gamma_plan()
         return self._merged_gamma_plan
-
-    @property
-    def merged_edge_list(self) -> MergedEdgeList:
-        """All commodities' allowed edges with flattened cross-commodity ids."""
-        if self._merged_edge_list is None:
-            raw = [self.commodity_edge_arrays[j] for j in range(self.num_commodities)]
-            raw_edges = (
-                np.concatenate(raw) if raw else np.empty(0, dtype=np.intp)
-            )
-            flat = np.concatenate(
-                [arr + j * self.num_edges for j, arr in enumerate(raw)]
-            ) if raw else np.empty(0, dtype=np.intp)
-            tails = np.concatenate(
-                [
-                    self.edge_tail[arr] + j * self.num_nodes
-                    for j, arr in enumerate(raw)
-                ]
-            ) if raw else np.empty(0, dtype=np.intp)
-            heads = np.concatenate(
-                [
-                    self.edge_head[arr] + j * self.num_nodes
-                    for j, arr in enumerate(raw)
-                ]
-            ) if raw else np.empty(0, dtype=np.intp)
-            g_flat = self.node_potentials.reshape(-1)
-            self._merged_edge_list = MergedEdgeList(
-                edges=flat,
-                raw_edges=raw_edges,
-                tails=tails,
-                heads=heads,
-                g_tails=g_flat[tails],
-                g_heads=g_flat[heads],
-            )
-        return self._merged_edge_list
-
-    def _build_merged_wave(self, reverse: bool) -> MergedWavePlan:
-        plans = self.flow_plans
-        E, V = self.num_edges, self.num_nodes
-        num_levels = max(
-            (len(p.offsets) - 1 for p in plans), default=0
-        )
-        edges: List[np.ndarray] = []
-        raw_edges: List[np.ndarray] = []
-        tails: List[np.ndarray] = []
-        heads: List[np.ndarray] = []
-        gains: List[np.ndarray] = []
-        costs: List[np.ndarray] = []
-        offsets: List[int] = [0]
-        unique: List[bool] = []
-        total = 0
-        unique_tails: List[bool] = []
-        for level in range(num_levels):
-            first_part = len(heads)
-            for j, plan in enumerate(plans):
-                num_blocks = len(plan.offsets) - 1
-                b = (num_blocks - 1 - level) if reverse else level
-                if b < 0 or b >= num_blocks:
-                    continue
-                s, e = plan.offsets[b], plan.offsets[b + 1]
-                edges.append(plan.edges[s:e] + j * E)
-                raw_edges.append(plan.edges[s:e])
-                tails.append(plan.tails[s:e] + j * V)
-                heads.append(plan.heads[s:e] + j * V)
-                gains.append(plan.gains[s:e])
-                costs.append(plan.costs[s:e])
-                total += e - s
-            offsets.append(total)
-            level_heads = (
-                np.concatenate(heads[first_part:])
-                if len(heads) > first_part
-                else np.empty(0, dtype=np.intp)
-            )
-            level_tails = (
-                np.concatenate(tails[first_part:])
-                if len(tails) > first_part
-                else np.empty(0, dtype=np.intp)
-            )
-            unique.append(int(np.unique(level_heads).size) == level_heads.size)
-            unique_tails.append(int(np.unique(level_tails).size) == level_tails.size)
-
-        def cat(parts, dtype):
-            return (
-                np.ascontiguousarray(np.concatenate(parts))
-                if parts
-                else np.empty(0, dtype=dtype)
-            )
-
-        plan = MergedWavePlan(
-            edges=cat(edges, np.intp),
-            raw_edges=cat(raw_edges, np.intp),
-            tails=cat(tails, np.intp),
-            heads=cat(heads, np.intp),
-            gains=cat(gains, float),
-            costs=cat(costs, float),
-            offsets=np.asarray(offsets, dtype=np.intp),
-            unique_heads=np.asarray(unique, dtype=bool),
-        )
-        levels = tuple(
-            (
-                plan.edges[s:e],
-                plan.raw_edges[s:e],
-                plan.tails[s:e],
-                plan.heads[s:e],
-                plan.gains[s:e],
-                plan.costs[s:e],
-                bool(plan.unique_heads[b]),
-                unique_tails[b],
-            )
-            for b, (s, e) in enumerate(zip(plan.offsets[:-1], plan.offsets[1:]))
-        )
-        object.__setattr__(plan, "levels", levels)
-        return plan
 
     def _build_merged_gamma_plan(self) -> CommodityGammaPlan:
         plans = self.gamma_plans
@@ -560,13 +366,6 @@ class ExtendedNetwork:
         heads = self.edge_head[edges] if edges.size else np.empty(0, dtype=np.intp)
         gains = self.gain[j, edges] if edges.size else np.empty(0, dtype=float)
         costs = self.cost[j, edges] if edges.size else np.empty(0, dtype=float)
-        unique = np.array(
-            [
-                len(set(heads[s:e].tolist())) == e - s
-                for s, e in zip(offsets[:-1], offsets[1:])
-            ],
-            dtype=bool,
-        )
         return CommodityFlowPlan(
             edges=edges,
             tails=np.asarray(tails, dtype=np.intp),
@@ -574,7 +373,6 @@ class ExtendedNetwork:
             gains=np.asarray(gains, dtype=float),
             costs=np.asarray(costs, dtype=float),
             offsets=np.asarray(offsets, dtype=np.intp),
-            unique_heads=unique,
         )
 
     def _build_gamma_plan(self, view: "CommodityView") -> CommodityGammaPlan:

@@ -8,11 +8,11 @@ rows.  :class:`ParallelBackend` shards that per-commodity work across a
 :class:`~concurrent.futures.ProcessPoolExecutor`, keeping the iterates
 **bit-identical** to the serial engine:
 
-* workers run the per-commodity kernels that are already pinned
-  bit-identical to the merged cross-commodity kernels the serial engine
-  uses (``solve_traffic_commodity``, ``marginal_cost_to_destination``,
-  ``compute_blocked_sets``, ``apply_gamma_batch`` over the per-commodity
-  plan);
+* workers run the :class:`~repro.core.state.ModelState` row-block
+  kernels (``solve_traffic_block``, ``marginal_costs_block``,
+  ``edge_marginals_block``, ``blocked_sets_block`` and ``apply_gamma_batch``
+  over the block's rows of the merged plan): the serial engine's own
+  sweeps restricted to a contiguous commodity range;
 * the only cross-commodity coupling -- summing per-commodity resource usage
   into ``edge_usage`` (eq. (4)) -- runs on the master after every shard has
   returned, as the *same* ``resource_usage`` call over the same bits as the
@@ -41,7 +41,7 @@ from repro.core.context import IterationContext, build_iteration_context
 from repro.core.gradient import GradientConfig, apply_gamma_batch
 from repro.core.marginals import evaluate_cost, link_cost_derivative
 from repro.core.routing import RoutingState, resource_usage
-from repro.core.state import ModelState, use_array_core
+from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork
 from repro.exceptions import ParallelExecutionError
 from repro.obs.instrumentation import NULL_INSTRUMENTATION
@@ -241,10 +241,9 @@ def _segment_shapes(ext: ExtendedNetwork) -> Dict[str, Tuple[int, ...]]:
 def _split_shards(num_commodities: int, workers: int) -> List[Tuple[int, int]]:
     """Contiguous near-equal commodity ranges, one per logical worker.
 
-    Contiguity matters: under the array core a shard is a contiguous
-    row-block of every :class:`~repro.core.state.ModelState` array, and the
-    bit-identity argument relies on every commodity being computed exactly
-    once.
+    Contiguity matters: a shard is a contiguous row-block of every
+    :class:`~repro.core.state.ModelState` array, and the bit-identity
+    argument relies on every commodity being computed exactly once.
     """
     n = max(1, min(workers, num_commodities))
     base, extra = divmod(num_commodities, n)
@@ -313,9 +312,6 @@ class ParallelBackend(ExecutionBackend):
         # fixed for the pool's lifetime; later refreshes re-shard within it
         self._pool_size: int = 0
         self._barrier: Optional[Any] = None
-        # resolved at pool start and shipped to the workers: does this pool
-        # run the array core's row-block kernels (repro.core.state)?
-        self._array: bool = False
 
     # -- lifecycle -----------------------------------------------------------------
     def bind(self, ext: ExtendedNetwork, config: GradientConfig) -> None:
@@ -336,14 +332,10 @@ class ParallelBackend(ExecutionBackend):
                 "GradientAlgorithm(..., backend=...) or call bind(ext, config)"
             )
         ext = self._ext
-        # resolve the model core once for the pool's lifetime; the flag is
-        # shipped to every worker so the two sides can never disagree
-        self._array = use_array_core()
-        # build the lazy plans once on the master so the pickled network the
-        # workers receive already carries them
-        _ = ext.flow_plans, ext.gamma_plans, ext.merged_gamma_plan
-        if self._array:
-            ModelState.of(ext)
+        # build the ModelState and the merged Gamma plan once on the master
+        # so the pickled network the workers receive already carries them
+        ModelState.of(ext)
+        _ = ext.merged_gamma_plan
         shm = SharedArraySet()
         try:
             self._shards = _split_shards(ext.num_commodities, self.workers)
@@ -364,10 +356,7 @@ class ParallelBackend(ExecutionBackend):
             self._pool = ProcessPoolExecutor(
                 max_workers=self._pool_size,
                 initializer=init_worker,
-                initargs=(
-                    ext, shm.specs, self._inject_fault, self._barrier,
-                    self._array,
-                ),
+                initargs=(ext, shm.specs, self._inject_fault, self._barrier),
                 mp_context=ctx,
             )
         except BaseException:
@@ -439,10 +428,9 @@ class ParallelBackend(ExecutionBackend):
             self._ext = ext
             return
         if applied.structural:
-            # build the lazy plans before pickling, as _ensure_started does
-            _ = ext.flow_plans, ext.gamma_plans, ext.merged_gamma_plan
-            if self._array:
-                ModelState.of(ext)
+            # build the plans before pickling, as _ensure_started does
+            ModelState.of(ext)
+            _ = ext.merged_gamma_plan
             shm = self._shm
             shapes = _segment_shapes(ext)
             dirty = [
@@ -703,7 +691,7 @@ REPRO_BACKEND_ENV = "REPRO_BACKEND"
 # docs/parallelism.md for the measurements).  ``work cells`` is the size
 # proxy J * (E + V): the per-commodity kernel work of one iteration touches
 # each commodity's edge and node rows about once.  The serial engine's
-# merged kernels amortise Python/NumPy dispatch across commodities, so a
+# full-width sweeps amortise Python/NumPy dispatch across commodities, so a
 # sharded backend starts ~3x behind on small instances and only wins once
 # per-shard array work dominates -- hence thresholds well above the sizes
 # where serial finishes an iteration in a few hundred microseconds.

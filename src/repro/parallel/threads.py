@@ -5,7 +5,7 @@ for its isolation twice per iteration: every dispatch crosses a pickle
 boundary and every array crosses a shared-memory mapping.  For mid-sized
 instances that overhead dwarfs the per-commodity compute -- the TAB-PARALLEL
 regression this module fixes.  :class:`ThreadBackend` runs the *same*
-per-commodity kernels on a :class:`~concurrent.futures.ThreadPoolExecutor`
+row-block kernels on a :class:`~concurrent.futures.ThreadPoolExecutor`
 instead: the workers share the master's arrays directly, so a dispatch is a
 few-microsecond queue hop and nothing is ever copied or pickled.
 
@@ -16,14 +16,15 @@ docs/parallelism.md for the crossover numbers).
 
 The bit-identity contract is inherited unchanged:
 
-* each worker thread runs the per-commodity kernels
-  (``solve_traffic_commodity``, ``marginal_cost_to_destination``,
-  ``compute_blocked_sets``, ``apply_gamma_batch`` over the per-commodity
-  plan) that are already pinned bit-identical to the serial engine's merged
-  kernels;
-* every kernel reads and writes **only its own commodity's rows** (pinned by
-  the blocking/marginals tests), so threads on disjoint shards share arrays
-  without a single racing byte;
+* each worker thread runs the :class:`~repro.core.state.ModelState`
+  row-block kernels of its contiguous commodity range
+  (``solve_traffic_block``, ``marginal_costs_block``,
+  ``edge_marginals_block``, ``blocked_sets_block`` and ``apply_gamma_batch``
+  over the block's rows of the merged plan) -- the serial engine's own
+  sweeps restricted to the block;
+* every kernel reads and writes **only its own block's rows** (pinned by
+  the kernel tests), so threads on disjoint shards share arrays without a
+  single racing byte;
 * the only cross-commodity coupling -- the usage sum (eq. (4)) -- happens
   on the master after every shard has returned, as the serial
   ``resource_usage`` call, so thread completion order cannot influence an
@@ -39,22 +40,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.blocking import compute_blocked_sets
 from repro.core.context import IterationContext
 from repro.core.gradient import GradientConfig, apply_gamma_batch
-from repro.core.marginals import (
-    edge_marginals,
-    evaluate_cost,
-    link_cost_derivative,
-    marginal_cost_to_destination,
-)
-from repro.core.routing import (
-    RoutingState,
-    external_inputs,
-    resource_usage,
-    solve_traffic_commodity,
-)
-from repro.core.state import ModelState, use_array_core
+from repro.core.marginals import evaluate_cost, link_cost_derivative
+from repro.core.routing import RoutingState, external_inputs, resource_usage
+from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork
 from repro.exceptions import ParallelExecutionError
 from repro.obs.instrumentation import NULL_INSTRUMENTATION
@@ -102,9 +92,8 @@ class ThreadBackend(ExecutionBackend):
         self._phi_next: Optional[np.ndarray] = None
         self._dadf: Optional[np.ndarray] = None
         self._loaded_for: Optional[RoutingState] = None
-        # array-core mode (repro.core.state): shards run the row-block
-        # kernels of the shared ModelState instead of per-commodity walks
-        self._mode: Optional[str] = None
+        # shards run the row-block kernels of the shared ModelState and
+        # write their rows of the full-width dadr/delta/blocked scratch
         self._state: Optional[ModelState] = None
         self._dadr: Optional[np.ndarray] = None
         self._delta: Optional[np.ndarray] = None
@@ -143,33 +132,19 @@ class ThreadBackend(ExecutionBackend):
                 "GradientAlgorithm(..., backend=...) or call bind(ext, config)"
             )
         shape_je = (ext.num_commodities, ext.num_edges)
-        mode = "array" if use_array_core() else "object"
-        if (
-            self._phi_next is None
-            or self._phi_next.shape != shape_je
-            or mode != self._mode
-        ):
-            self._mode = mode
+        if self._phi_next is None or self._phi_next.shape != shape_je:
             self._phi_next = np.zeros(shape_je)
             self._traffic = np.zeros((ext.num_commodities, ext.num_nodes))
             self._shards = _split_shards(ext.num_commodities, self.workers)
-            if mode == "array":
-                # row-block sharding over the shared ModelState: full-width
-                # dadr/delta/blocked scratch written row-wise
-                self._state = ModelState.of(ext)
-                self._dadr = np.zeros((ext.num_commodities, ext.num_nodes))
-                self._delta = np.zeros(shape_je)
-                self._blocked = np.zeros(shape_je, dtype=bool)
-                _ = ext.merged_gamma_plan
-                for lo, hi in self._shards:
-                    # prebuild the block plans on the master so worker
-                    # threads never race the plan cache
-                    self._state.block(lo, hi)
-            else:
-                self._state = None
-                # touch the lazy per-commodity plans once so iteration-time
-                # tasks never pay (or re-time) the plan construction
-                _ = ext.flow_plans, ext.gamma_plans
+            self._state = ModelState.of(ext)
+            self._dadr = np.zeros((ext.num_commodities, ext.num_nodes))
+            self._delta = np.zeros(shape_je)
+            self._blocked = np.zeros(shape_je, dtype=bool)
+            _ = ext.merged_gamma_plan
+            for lo, hi in self._shards:
+                # prebuild the block plans on the master so worker threads
+                # never race the plan cache
+                self._state.block(lo, hi)
             if self._pool is not None and self._pool._max_workers != len(self._shards):
                 pool, self._pool = self._pool, None
                 pool.shutdown(wait=True)
@@ -185,7 +160,6 @@ class ThreadBackend(ExecutionBackend):
         self._traffic = self._phi_next = None
         self._dadf = None
         self._loaded_for = None
-        self._mode = None
         self._state = None
         self._dadr = self._delta = self._blocked = None
 
@@ -246,56 +220,11 @@ class ThreadBackend(ExecutionBackend):
 
     # -- shard bodies (run on worker threads; rows [lo, hi) only) --------------------
     def _forecast_shard(self, lo: int, hi: int, phi: np.ndarray) -> None:
-        ext = self._ext
-        traffic = self._traffic
-        for j in range(lo, hi):
-            traffic[j] = solve_traffic_commodity(ext, j, phi[j])
-
-    def _step_shard(
-        self, lo: int, hi: int, routing: RoutingState, eta: float
-    ) -> Dict[str, float]:
-        ext = self._ext
-        cfg = self._config
-        traffic = self._traffic
-        phi_next = self._phi_next
-        dadf = self._dadf
-        phi = routing.phi
-        # per-sub-kernel timings, same keys as the process worker's step
-        # shard, so `profile` renders identical per-worker rows either way
-        timings = {"marginals": 0.0, "blocking": 0.0, "gamma": 0.0}
-        for j in range(lo, hi):
-            start = time.perf_counter()
-            dadr = marginal_cost_to_destination(ext, j, routing, dadf)
-            delta = edge_marginals(ext, j, dadf, dadr)
-            timings["marginals"] += time.perf_counter() - start
-            blocked: Optional[np.ndarray] = None
-            if cfg.use_blocking:
-                start = time.perf_counter()
-                blocked = compute_blocked_sets(
-                    ext, j, routing, traffic, dadr, delta, eta
-                )
-                if not blocked.any():
-                    # an all-False mask is indistinguishable from no blocking;
-                    # take the kernel's cheaper unblocked path (same bits)
-                    blocked = None
-                timings["blocking"] += time.perf_counter() - start
-            start = time.perf_counter()
-            row = phi[j].copy()
-            apply_gamma_batch(
-                row, ext.gamma_plans[j], traffic[j], delta, blocked, eta,
-                cfg.traffic_tol,
-            )
-            phi_next[j] = row
-            timings["gamma"] += time.perf_counter() - start
-        return timings
-
-    # -- array-core shard bodies (row-block kernels over ModelState) -----------------
-    def _forecast_shard_array(self, lo: int, hi: int, phi: np.ndarray) -> None:
         self._state.solve_traffic_block(
             self._traffic.reshape(-1), phi.reshape(-1), lo, hi
         )
 
-    def _step_shard_array(
+    def _step_shard(
         self, lo: int, hi: int, routing: RoutingState, eta: float
     ) -> Dict[str, float]:
         state = self._state
@@ -358,14 +287,10 @@ class ThreadBackend(ExecutionBackend):
         ext = self._ext
         cfg = self._config
         with inst.phase("flow_solve"):
-            if self._mode == "array":
-                # seed external inputs once; shards overwrite their rows'
-                # interior nodes via the forward sweep
-                np.copyto(self._traffic, external_inputs(ext))
-                forecast = self._forecast_shard_array
-            else:
-                forecast = self._forecast_shard
-            results = self._dispatch("flow_solve", forecast, routing.phi)
+            # seed external inputs once; shards overwrite their rows'
+            # interior nodes via the forward sweep
+            np.copyto(self._traffic, external_inputs(ext))
+            results = self._dispatch("flow_solve", self._forecast_shard, routing.phi)
             traffic = self._traffic.copy()
             # usage sums across commodities, so it runs once all shards have
             # returned: the serial call on the same bits, whatever order the
@@ -409,9 +334,8 @@ class ThreadBackend(ExecutionBackend):
             # the scratch traffic/dadf describe some other routing state;
             # refresh them for this one
             self.build_context(routing, instrumentation=instrumentation)
-        step_fn = self._step_shard_array if self._mode == "array" else self._step_shard
         with inst.phase("thread_step"):
-            results = self._dispatch("step", step_fn, routing, eta)
+            results = self._dispatch("step", self._step_shard, routing, eta)
             new_phi = self._phi_next.copy()
         self._observe_worker_timings(inst, results)
         return RoutingState(new_phi)

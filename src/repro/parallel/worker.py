@@ -10,8 +10,8 @@ Three task phases exist; the first two mirror the halves of a serial
 iteration, the third is the bounded-staleness batch:
 
 ``forecast``
-    Solve the flow balance (eq. (3)) for each owned commodity and write its
-    traffic rows into shared memory.  Once every shard has returned, the
+    Solve the flow balance (eq. (3)) over the owned commodity rows and
+    write them into shared memory.  Once every shard has returned, the
     master computes ``edge_usage``/``node_usage`` with the *same call on
     the same bits* as the serial path, ``resource_usage``: usage sums
     across commodities, so no shard can compute a part of it.
@@ -19,8 +19,8 @@ iteration, the third is the bounded-staleness batch:
 ``step``
     Given the master-computed ``dadf`` (eq. (11)), run the marginal-cost
     wave (eq. (9)), the edge marginals (eq. (15)), the blocked sets
-    (eq. (18)) and the update map ``Gamma`` (eqs. (14)-(17)) for each owned
-    commodity, writing the new routing row into the ``phi_next`` buffer.
+    (eq. (18)) and the update map ``Gamma`` (eqs. (14)-(17)) over the owned
+    rows, writing the new routing rows into the ``phi_next`` buffer.
 
 ``batch``
     Run several full iterations privately over the owned shard with the
@@ -29,9 +29,10 @@ iteration, the third is the bounded-staleness batch:
     are re-solved every inner iteration, so only the *global* coupling is
     stale, exactly as the paper's Section-5 asynchronous protocol allows.
 
-Every kernel invoked here is the *per-commodity* variant that is pinned
-bit-identical to the merged cross-commodity kernels the serial engine runs,
-which is what makes the parallel iterates bit-identical to serial ones.
+Every kernel invoked here is a :class:`~repro.core.state.ModelState`
+row-block kernel: the serial engine's own sweeps restricted to the shard's
+contiguous rows, which is what makes the parallel iterates bit-identical
+to serial ones.
 """
 
 from __future__ import annotations
@@ -42,15 +43,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.blocking import compute_blocked_sets
 from repro.core.delta import ScalarPatch, apply_scalar_patch
 from repro.core.gradient import apply_gamma_batch
-from repro.core.marginals import edge_marginals, marginal_cost_to_destination
-from repro.core.routing import (
-    RoutingState,
-    external_inputs_rows,
-    solve_traffic_commodity,
-)
+from repro.core.routing import external_inputs_rows
 from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork
 from repro.parallel.shm import ArraySpec, attach_arrays
@@ -63,11 +58,8 @@ _ARRAYS: Dict[str, np.ndarray] = {}
 _BLOCKS: List[Any] = []
 _FAULT: Optional[str] = None
 _BARRIER: Optional[Any] = None
-# array-core mode: the master resolves REPRO_MODEL_CORE once at pool start
-# and ships the decision here, so master and workers can never disagree
-_ARRAY_CORE: bool = False
-# private per-worker scratch for the array-core step/batch bodies, keyed by
-# shape so structural refreshes reallocate lazily
+# private per-worker scratch for the step/batch bodies, keyed by shape so
+# structural refreshes reallocate lazily
 _SCRATCH: Dict[str, np.ndarray] = {}
 
 # A refresh task must reach *every* worker exactly once; workers that
@@ -93,22 +85,16 @@ def init_worker(
     specs: ArraySpec,
     fault: Optional[str],
     barrier: Optional[Any] = None,
-    array_core: bool = False,
 ) -> None:
     """Pool initializer: receive the graph once, attach the shared arrays."""
-    global _EXT, _ARRAYS, _BLOCKS, _FAULT, _BARRIER, _ARRAY_CORE
+    global _EXT, _ARRAYS, _BLOCKS, _FAULT, _BARRIER
     _EXT = ext
     _ARRAYS, _BLOCKS = attach_arrays(specs)
     _FAULT = fault
     _BARRIER = barrier
-    _ARRAY_CORE = array_core
-    if array_core:
-        # build the shared ModelState eagerly so iteration-time tasks never
-        # pay (or re-time) its construction
-        ModelState.of(ext)
-    else:
-        # touch the lazy per-commodity plans once, for the same reason
-        _ = ext.flow_plans, ext.gamma_plans
+    # build the shared ModelState eagerly so iteration-time tasks never pay
+    # (or re-time) its construction
+    ModelState.of(ext)
     atexit.register(_close_shared_memory)
 
 
@@ -158,26 +144,23 @@ def _forecast_shard(lo: int, hi: int) -> Dict[str, float]:
     phi = _ARRAYS["phi"]
     traffic = _ARRAYS["traffic"]
     start = time.perf_counter()
-    if _ARRAY_CORE:
-        traffic[lo:hi] = external_inputs_rows(ext, lo, hi)
-        ModelState.of(ext).solve_traffic_block(
-            traffic.reshape(-1), phi.reshape(-1), lo, hi
-        )
-        return {"flow_solve": time.perf_counter() - start}
-    for j in range(lo, hi):
-        traffic[j] = solve_traffic_commodity(ext, j, phi[j])
+    traffic[lo:hi] = external_inputs_rows(ext, lo, hi)
+    ModelState.of(ext).solve_traffic_block(
+        traffic.reshape(-1), phi.reshape(-1), lo, hi
+    )
     return {"flow_solve": time.perf_counter() - start}
 
 
-def _step_shard_array(
+def _step_shard(
     lo: int, hi: int, eta: float, use_blocking: bool, traffic_tol: float
 ) -> Dict[str, float]:
-    """Array-core step body: row-block kernels over the shared state.
+    """Step body: row-block kernels over the shared state.
 
     ``dadr``/``delta``/``blocked`` live in private per-worker scratch (only
     this shard's rows are ever written or read), while ``phi``/``phi_next``/
-    ``traffic`` stay in shared memory exactly as in the object path.
+    ``traffic`` stay in shared memory.
     """
+    assert _EXT is not None, "worker used before init_worker ran"
     ext = _EXT
     state = ModelState.of(ext)
     phi = _ARRAYS["phi"]
@@ -230,48 +213,7 @@ def _step_shard_array(
     return timings
 
 
-def _step_shard(
-    lo: int, hi: int, eta: float, use_blocking: bool, traffic_tol: float
-) -> Dict[str, float]:
-    assert _EXT is not None, "worker used before init_worker ran"
-    if _ARRAY_CORE:
-        return _step_shard_array(lo, hi, eta, use_blocking, traffic_tol)
-    ext = _EXT
-    phi = _ARRAYS["phi"]
-    phi_next = _ARRAYS["phi_next"]
-    traffic = _ARRAYS["traffic"]
-    dadf = _ARRAYS["dadf"]
-    routing = RoutingState(phi)  # zero-copy read-only view
-    timings = {"marginals": 0.0, "blocking": 0.0, "gamma": 0.0}
-    for j in range(lo, hi):
-        start = time.perf_counter()
-        dadr = marginal_cost_to_destination(ext, j, routing, dadf)
-        delta = edge_marginals(ext, j, dadf, dadr)
-        timings["marginals"] += time.perf_counter() - start
-
-        blocked: Optional[np.ndarray] = None
-        if use_blocking:
-            start = time.perf_counter()
-            blocked = compute_blocked_sets(
-                ext, j, routing, traffic, dadr, delta, eta
-            )
-            if not blocked.any():
-                # an all-False mask is indistinguishable from no blocking;
-                # take the kernel's cheaper unblocked path (same bits)
-                blocked = None
-            timings["blocking"] += time.perf_counter() - start
-
-        start = time.perf_counter()
-        row = phi[j].copy()
-        apply_gamma_batch(
-            row, ext.gamma_plans[j], traffic[j], delta, blocked, eta, traffic_tol
-        )
-        phi_next[j] = row
-        timings["gamma"] += time.perf_counter() - start
-    return timings
-
-
-def _batch_shard_array(
+def _batch_shard(
     lo: int,
     hi: int,
     iterations: int,
@@ -279,14 +221,18 @@ def _batch_shard_array(
     use_blocking: bool,
     traffic_tol: float,
 ) -> Dict[str, float]:
-    """Array-core batch body: private row-block iterations, frozen ``dadf``.
+    """Run ``iterations`` private iterations over this shard's commodities.
 
-    Mirrors the object-core batch exactly: ``Gamma`` applies in place on the
-    shard's shm ``phi`` rows (the kernel reads and writes the same buffer,
-    just like the serial engine's updated-copy) and the shard's traffic
-    rows are re-solved after every application; the master computes usage
-    over the batch-final rows once every shard has returned.
+    The bounded-staleness batch body: ``dadf`` stays frozen at its
+    batch-start value for every inner iteration (that is the whole point --
+    one round-trip buys ``iterations`` steps), while ``Gamma`` applies in
+    place on the shard's shm ``phi`` rows and the shard's traffic rows are
+    re-solved after every application, so local state is always fresh.
+    Every read and write stays inside this shard's rows -- siblings running
+    concurrently never observe (or miss) a byte of ours -- and the master
+    computes usage over the batch-final rows once every shard has returned.
     """
+    assert _EXT is not None, "worker used before init_worker ran"
     ext = _EXT
     state = ModelState.of(ext)
     phi = _ARRAYS["phi"]
@@ -331,53 +277,6 @@ def _batch_shard_array(
     return {"batch": time.perf_counter() - start}
 
 
-def _batch_shard(
-    lo: int,
-    hi: int,
-    iterations: int,
-    eta: float,
-    use_blocking: bool,
-    traffic_tol: float,
-) -> Dict[str, float]:
-    """Run ``iterations`` private iterations over this shard's commodities.
-
-    The bounded-staleness batch body: ``dadf`` stays frozen at its
-    batch-start value for every inner iteration (that is the whole point --
-    one round-trip buys ``iterations`` steps), while each commodity's own
-    traffic row is re-solved after every ``Gamma`` application, so local
-    state is always fresh.  Every read and write stays inside this shard's
-    rows -- siblings running concurrently never observe (or miss) a byte of
-    ours -- and the master only reads after all shards have returned.
-    """
-    assert _EXT is not None, "worker used before init_worker ran"
-    ext = _EXT
-    phi = _ARRAYS["phi"]
-    phi_next = _ARRAYS["phi_next"]
-    traffic = _ARRAYS["traffic"]
-    dadf = _ARRAYS["dadf"]
-    routing = RoutingState(phi)  # zero-copy view; we update our own rows
-    start = time.perf_counter()
-    for _ in range(iterations):
-        for j in range(lo, hi):
-            dadr = marginal_cost_to_destination(ext, j, routing, dadf)
-            delta = edge_marginals(ext, j, dadf, dadr)
-            blocked: Optional[np.ndarray] = None
-            if use_blocking:
-                blocked = compute_blocked_sets(
-                    ext, j, routing, traffic, dadr, delta, eta
-                )
-                if not blocked.any():
-                    blocked = None
-            row = phi[j].copy()
-            apply_gamma_batch(
-                row, ext.gamma_plans[j], traffic[j], delta, blocked, eta, traffic_tol
-            )
-            phi[j] = row
-            traffic[j] = solve_traffic_commodity(ext, j, row)
-    phi_next[lo:hi] = phi[lo:hi]
-    return {"batch": time.perf_counter() - start}
-
-
 def run_shard(phase: str, lo: int, hi: int, *args: Any) -> Tuple[int, Dict[str, float]]:
     """Task entry point: run one phase over commodities ``[lo, hi)``.
 
@@ -395,10 +294,6 @@ def run_shard(phase: str, lo: int, hi: int, *args: Any) -> Tuple[int, Dict[str, 
         return lo, _step_shard(lo, hi, eta, use_blocking, traffic_tol)
     if phase == "batch":
         iterations, eta, use_blocking, traffic_tol = args
-        if _ARRAY_CORE:
-            return lo, _batch_shard_array(
-                lo, hi, iterations, eta, use_blocking, traffic_tol
-            )
         return lo, _batch_shard(lo, hi, iterations, eta, use_blocking, traffic_tol)
     if phase == "refresh":
         start = time.perf_counter()

@@ -43,7 +43,6 @@ from repro.validate.oracle import (
     RebuildOracleReport,
     RebuildStepReport,
     calibrated_gradient_config,
-    compare_cores,
 )
 
 __all__ = [
@@ -65,5 +64,4 @@ __all__ = [
     "RebuildOracleReport",
     "RebuildStepReport",
     "calibrated_gradient_config",
-    "compare_cores",
 ]

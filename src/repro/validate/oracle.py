@@ -14,6 +14,10 @@ rates, flows, and final utility.  Two comparison regimes:
   contract is *bit-identity* (docs/parallelism.md), so
   :meth:`DifferentialOracle.compare_backends` requires exact equality of
   the routing matrix, the admitted rates, and every recorded utility.
+* **engine vs reference** (:meth:`DifferentialOracle.compare_reference`):
+  the :class:`~repro.core.state.ModelState` engine's ``step`` and the
+  paper-literal scalar ``step_reference`` advance in lockstep and must
+  agree bit for bit on every iterate.
 
 The calibrated gradient configuration below is what the CI fuzz sweep
 (``benchmarks/fuzz_oracle.py``) runs over the seed matrix of
@@ -25,15 +29,12 @@ gap is the eps-barrier headroom, not solver error).
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.gradient import GradientConfig
-from repro.core.state import MODEL_CORE_ENV, MODEL_CORE_NAMES
 from repro.validate.checks import solution_flows
 
 __all__ = [
@@ -57,27 +58,6 @@ __all__ = [
 # ``DifferentialOracle(utility_rtol=STALENESS_DRIFT_RTOL).compare(...)``;
 # ``compare_backends`` stays reserved for the bit-identity contract.
 STALENESS_DRIFT_RTOL = 0.02
-
-
-@contextmanager
-def _model_core_pinned(core: Optional[str]):
-    """Temporarily pin ``REPRO_MODEL_CORE`` for one side of a comparison."""
-    if core is None:
-        yield
-        return
-    if core not in MODEL_CORE_NAMES:
-        raise ValueError(
-            f"unknown model core {core!r}; expected one of {MODEL_CORE_NAMES}"
-        )
-    previous = os.environ.get(MODEL_CORE_ENV)
-    os.environ[MODEL_CORE_ENV] = core
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(MODEL_CORE_ENV, None)
-        else:
-            os.environ[MODEL_CORE_ENV] = previous
 
 
 def calibrated_gradient_config(max_iterations: int = 6000) -> GradientConfig:
@@ -108,9 +88,6 @@ class AlgorithmSpec:
     # execution model for method="distributed": None/"sync" phase barriers,
     # "async" the barrier-free event-driven engine
     execution: Optional[str] = None
-    # pin the model core for this side ("array" / "object"); None inherits
-    # the ambient REPRO_MODEL_CORE setting
-    model_core: Optional[str] = None
 
     @property
     def name(self) -> str:
@@ -125,8 +102,6 @@ class AlgorithmSpec:
             parts.append(f"staleness={self.staleness}")
         if self.execution is not None:
             parts.append(f"execution={self.execution}")
-        if self.model_core is not None:
-            parts.append(f"core={self.model_core}")
         return self.method + (f"[{', '.join(parts)}]" if parts else "")
 
 
@@ -301,22 +276,20 @@ class DifferentialOracle:
         """
         from repro import solve  # runtime import: repro.validate loads first
 
-        results = []
-        for spec in (spec_a, spec_b):
-            with _model_core_pinned(spec.model_core):
-                results.append(
-                    solve(
-                        stream_network,
-                        method=spec.method,
-                        config=spec.config,
-                        workers=spec.workers,
-                        backend=spec.backend,
-                        staleness=spec.staleness,
-                        execution=spec.execution,
-                        full_result=True,
-                        validate=validate,
-                    )
-                )
+        results = [
+            solve(
+                stream_network,
+                method=spec.method,
+                config=spec.config,
+                workers=spec.workers,
+                backend=spec.backend,
+                staleness=spec.staleness,
+                execution=spec.execution,
+                full_result=True,
+                validate=validate,
+            )
+            for spec in (spec_a, spec_b)
+        ]
         result_a, result_b = results
         sol_a, sol_b = result_a.solution, result_b.solution
         ext = sol_a.ext
@@ -407,38 +380,76 @@ class DifferentialOracle:
             require_bit_identical=True,
         )
 
-    def compare_cores(
+    def compare_reference(
         self,
         stream_network,
-        method: str = "gradient",
+        iterations: int = 120,
         config: Any = None,
-        validate: Any = False,
-        workers: Any = None,
-        backend: Any = None,
     ) -> OracleReport:
-        """Array core vs legacy object core on one workload: must be bit-equal.
+        """The engine vs the scalar reference, in lockstep: must be bit-equal.
 
-        The sparse commodity-major core (:mod:`repro.core.state`) carries
-        the same bit-identity contract as the parallel backends: every
-        iterate, admitted rate, and recorded utility must match the object
-        core's exactly.  This is the oracle form of that contract -- the
-        scale ladder runs it on the 40- and 120-node reference workloads
-        and the hypothesis sweep runs it across random sparse instances.
+        Starting from the shed-everything routing, one
+        :class:`~repro.core.gradient.GradientAlgorithm` advances two
+        iterates ``iterations`` times: one through ``step`` (the
+        :class:`~repro.core.state.ModelState` sweeps, fed by the cached
+        iteration context) and one through ``step_reference`` (the
+        paper-literal scalar walks).  Every routing iterate must match bit
+        for bit, and so must the utility and cost of every iterate, which
+        the reference side evaluates from its own scalar flow solve and
+        usage sum.  ``extras["diverged_at"]`` names the first iterate that
+        differs.  Both sides run the configured ``eta``: adaptive stepping
+        is a run-loop controller, not part of the update map.
         """
-        spec_array = AlgorithmSpec(
-            method=method, config=config, workers=workers, backend=backend,
-            model_core="array",
+        from repro.core.gradient import GradientAlgorithm
+        from repro.core.marginals import evaluate_cost
+        from repro.core.routing import (
+            initial_routing,
+            resource_usage_scalar,
+            solve_traffic_scalar,
         )
-        spec_object = AlgorithmSpec(
-            method=method, config=config, workers=workers, backend=backend,
-            model_core="object",
-        )
-        return self.compare(
-            stream_network,
-            spec_array,
-            spec_object,
-            validate=validate,
+        from repro.core.transform import build_extended_network
+
+        cfg = config or calibrated_gradient_config(max_iterations=iterations)
+        ext = build_extended_network(stream_network)
+        algo = GradientAlgorithm(ext, cfg)
+
+        def reference_cost(routing):
+            traffic = solve_traffic_scalar(ext, routing)
+            usage = resource_usage_scalar(ext, routing, traffic)
+            return evaluate_cost(ext, routing, cfg.cost_model, traffic, usage=usage)
+
+        engine = reference = initial_routing(ext)
+        context = algo.compute_context(engine)
+        cost_a, cost_b = context.breakdown, reference_cost(reference)
+        diverged_at: Optional[int] = None
+        for iteration in range(1, iterations + 1):
+            engine = algo.step(engine, context=context)
+            context = algo.compute_context(engine)
+            reference = algo.step_reference(reference)
+            cost_a, cost_b = context.breakdown, reference_cost(reference)
+            if not (
+                np.array_equal(engine.phi, reference.phi)
+                and (cost_a.utility, cost_a.total) == (cost_b.utility, cost_b.total)
+            ):
+                diverged_at = iteration
+                break
+
+        identical = diverged_at is None
+        return OracleReport(
+            label_a="gradient[engine]",
+            label_b="gradient[scalar-reference]",
+            utility_a=cost_a.utility,
+            utility_b=cost_b.utility,
+            utility_rel_diff=abs(cost_a.utility - cost_b.utility)
+            / max(1.0, abs(cost_a.utility), abs(cost_b.utility)),
+            admitted_max_diff=float(np.abs(cost_a.admitted - cost_b.admitted).max()),
+            flow_max_diff=None,
+            trajectories_equal=identical,
+            bit_identical=identical,
+            utility_rtol=self.utility_rtol,
+            admitted_atol=self.admitted_atol,
             require_bit_identical=True,
+            extras={"iterations": iterations, "diverged_at": diverged_at},
         )
 
     def compare_async(
@@ -578,9 +589,7 @@ class DifferentialOracle:
 
         ext_inc = build_extended_network(stream_network)
         # force every lazy plan so the splice path has something to carry
-        _ = ext_inc.flow_plans, ext_inc.gamma_plans, ext_inc.merged_edge_list
-        _ = ext_inc.merged_forward_plan, ext_inc.merged_reverse_plan
-        _ = ext_inc.merged_gamma_plan
+        _ = ext_inc.flow_plans, ext_inc.gamma_plans, ext_inc.merged_gamma_plan
         net_ref = stream_network
         ext_ref = build_extended_network(stream_network)
         routing_inc = initial_routing(ext_inc)
@@ -657,8 +666,3 @@ class DifferentialOracle:
                 )
             )
         return report
-
-
-def compare_cores(stream_network, **kwargs) -> OracleReport:
-    """Module-level shorthand for :meth:`DifferentialOracle.compare_cores`."""
-    return DifferentialOracle().compare_cores(stream_network, **kwargs)

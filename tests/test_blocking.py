@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.blocking import compute_blocked_sets, improper_links, node_tags
+from repro.core.blocking import (
+    compute_all_blocked_sets,
+    compute_blocked_sets_scalar,
+    improper_links,
+    node_tags,
+)
 from repro.core.marginals import (
     CostModel,
+    all_marginal_costs,
     edge_marginals,
     link_cost_derivative,
-    marginal_cost_to_destination,
 )
 from repro.core.routing import (
     resource_usage,
@@ -23,9 +28,10 @@ def marginal_context(ext, routing, eps=0.2):
     traffic = solve_traffic(ext, routing)
     edge_usage, node_usage = resource_usage(ext, routing, traffic)
     dadf = link_cost_derivative(ext, cost_model, edge_usage, node_usage)
+    dadr_all = all_marginal_costs(ext, routing, dadf)
     contexts = []
     for view in ext.commodities:
-        dadr = marginal_cost_to_destination(ext, view.index, routing, dadf)
+        dadr = dadr_all[view.index]
         delta = edge_marginals(ext, view.index, dadf, dadr)
         contexts.append((dadr, delta))
     return traffic, contexts
@@ -161,7 +167,7 @@ class TestBlockedSets:
         traffic, contexts = marginal_context(figure1_ext, routing)
         for view in figure1_ext.commodities:
             dadr, delta = contexts[view.index]
-            blocked = compute_blocked_sets(
+            blocked = compute_blocked_sets_scalar(
                 figure1_ext, view.index, routing, traffic, dadr, delta, eta=0.04
             )
             phi = routing.phi[view.index]
@@ -187,8 +193,47 @@ class TestBlockedSets:
         delta[downstream] = 1.0
         # ensure the improper edge carries flow
         routing.phi[0, downstream] = 1.0
-        blocked = compute_blocked_sets(
+        blocked = compute_blocked_sets_scalar(
             diamond_ext, 0, routing, traffic, dadr, delta, eta=0.04
         )
         assert blocked[zero_edge]
         assert not blocked[keep_edge]
+
+    def test_zero_phi_links_carry_no_tags(self, diamond_ext):
+        """A tag floods upstream only across flow-carrying links, in the
+        scalar walk and in the engine alike."""
+        ext = diamond_ext
+        view = ext.commodities[0]
+        routing = uniform_routing(ext)
+        phi = routing.phi[0]
+        zero_edge, keep_edge = ext.commodity_out_edges[0][view.source]
+        phi[zero_edge], phi[keep_edge] = 0.0, 1.0
+        phi[view.input_edge], phi[view.difference_edge] = 0.0, 1.0
+        # marginals that fall strictly toward the sink in source-equivalent
+        # units (g * dA/dr = longest path to the sink), so no link is uphill
+        # ... except the single out-link of zero_edge's head, made improper
+        height = np.zeros(ext.num_nodes)
+        for node in reversed(view.topo_order):
+            out = ext.commodity_out_edges[0][node]
+            if out:
+                height[node] = 1.0 + max(height[ext.edge_head[e]] for e in out)
+        dadr = height / ext.node_potentials[0]
+        tagged = ext.edge_head[zero_edge]
+        dadr[tagged] = 0.0
+        delta = np.zeros(ext.num_edges)
+        traffic = np.ones((1, ext.num_nodes))  # every tail can move flow
+
+        improper = improper_links(ext, 0, routing, traffic, dadr, delta, eta=0.04)
+        assert np.flatnonzero(improper).tolist() == ext.commodity_out_edges[0][tagged]
+        tags = node_tags(ext, 0, routing, improper)
+        assert tags[tagged] and not tags[view.source]
+        for blocked in (
+            compute_blocked_sets_scalar(ext, 0, routing, traffic, dadr, delta, 0.04),
+            compute_all_blocked_sets(
+                ext, routing, traffic, dadr[None, :], delta[None, :], 0.04
+            )[0],
+        ):
+            assert blocked[zero_edge]
+            # the source reaches the tag only over zero_edge, which carries
+            # nothing: the source stays untagged and its input link free
+            assert not blocked[view.input_edge]

@@ -19,7 +19,6 @@ from repro.core.marginals import (
     edge_marginals,
     evaluate_cost,
     link_cost_derivative,
-    marginal_cost_to_destination,
     optimality_residual,
     phi_gradient,
 )
@@ -127,10 +126,9 @@ class TestMarginalCostRecursion:
         traffic = solve_traffic(figure1_ext, routing)
         edge_usage, node_usage = resource_usage(figure1_ext, routing, traffic)
         dadf = link_cost_derivative(figure1_ext, cost_model, edge_usage, node_usage)
+        dadr_all = all_marginal_costs(figure1_ext, routing, dadf)
         for view in figure1_ext.commodities:
-            dadr = marginal_cost_to_destination(
-                figure1_ext, view.index, routing, dadf
-            )
+            dadr = dadr_all[view.index]
             assert dadr[view.sink] == 0.0
 
     def test_dadr_is_phi_average_of_edge_marginals(self, figure1_ext, cost_model):
@@ -138,9 +136,10 @@ class TestMarginalCostRecursion:
         traffic = solve_traffic(figure1_ext, routing)
         edge_usage, node_usage = resource_usage(figure1_ext, routing, traffic)
         dadf = link_cost_derivative(figure1_ext, cost_model, edge_usage, node_usage)
+        dadr_all = all_marginal_costs(figure1_ext, routing, dadf)
         for view in figure1_ext.commodities:
             j = view.index
-            dadr = marginal_cost_to_destination(figure1_ext, j, routing, dadf)
+            dadr = dadr_all[j]
             delta = edge_marginals(figure1_ext, j, dadf, dadr)
             for node in view.node_indices:
                 if node == view.sink:

@@ -1,26 +1,32 @@
-"""The commodity-major array core: selection, kernels, blocks, bit-identity."""
+"""The commodity-major engine: kernels, blocks, bit-identity with the scalar walks."""
 
 import numpy as np
 import pytest
 
-from repro import GradientConfig, solve
+from repro import GradientConfig
+from repro.core.blocking import (
+    compute_all_blocked_sets,
+    compute_blocked_sets_scalar,
+    improper_links,
+)
 from repro.core.context import build_iteration_context
-from repro.core.marginals import CostModel, all_marginal_costs, link_cost_derivative
+from repro.core.marginals import (
+    CostModel,
+    edge_marginals,
+    link_cost_derivative,
+    marginal_cost_to_destination_scalar,
+)
 from repro.core.routing import (
     external_inputs,
     external_inputs_rows,
-    resource_usage,
-    solve_traffic,
+    resource_usage_scalar,
+    solve_traffic_scalar,
 )
-from repro.core.state import (
-    MODEL_CORE_ENV,
-    MODEL_CORE_NAMES,
-    ModelState,
-    active_core,
-    use_array_core,
-)
-from repro.validate import compare_cores
+from repro.core.state import ModelState, use_array_core
+from repro.validate import DifferentialOracle
 from repro.validate.strategies import random_routing
+
+ETA = 0.04
 
 
 def converged_routing(ext, iterations=60):
@@ -31,38 +37,61 @@ def converged_routing(ext, iterations=60):
     return algo.run().solution.routing
 
 
+def scalar_marginals(ext, routing, dadf):
+    """Stacked ``(J, V)`` dA/dr and ``(J, E)`` delta from the scalar walks."""
+    dadr = np.stack(
+        [
+            marginal_cost_to_destination_scalar(ext, j, routing, dadf)
+            for j in range(ext.num_commodities)
+        ]
+    )
+    delta = np.stack(
+        [edge_marginals(ext, j, dadf, dadr[j]) for j in range(ext.num_commodities)]
+    )
+    return dadr, delta
+
+
+def blocking_state(ext, seed=0):
+    """A routing with zero fractions, and marginals drawn at random.
+
+    Every branch node drops one out-edge to zero, so flooded tags find edges
+    to block.  ``dA/dr`` is random except at the sinks, where it keeps its
+    boundary value 0: no link into a sink is uphill, so every improper
+    cell lies past reverse level 0 and the flood must skip level 0.
+    """
+    rng = np.random.default_rng(seed)
+    routing = random_routing(ext, seed)
+    for view in ext.commodities:
+        j = view.index
+        for node in view.node_indices:
+            out = ext.commodity_out_edges[j][node]
+            if node != view.sink and len(out) >= 2:
+                routing.phi[j, out[rng.integers(len(out))]] = 0.0
+                routing.phi[j, out] /= routing.phi[j, out].sum()
+    traffic = solve_traffic_scalar(ext, routing)
+    dadr = rng.random((ext.num_commodities, ext.num_nodes))
+    dadr[np.arange(ext.num_commodities), [v.sink for v in ext.commodities]] = 0.0
+    delta = rng.random((ext.num_commodities, ext.num_edges))
+    return routing, traffic, dadr, delta
+
+
 class TestCoreSelection:
-    def test_default_is_array(self, monkeypatch):
-        monkeypatch.delenv(MODEL_CORE_ENV, raising=False)
-        assert active_core() == "array"
+    def test_default_is_array(self):
         assert use_array_core()
-
-    def test_object_opt_out(self, monkeypatch):
-        monkeypatch.setenv(MODEL_CORE_ENV, "object")
-        assert active_core() == "object"
-        assert not use_array_core()
-
-    def test_unknown_core_rejected(self, monkeypatch):
-        monkeypatch.setenv(MODEL_CORE_ENV, "vector")
-        with pytest.raises(ValueError, match="vector"):
-            active_core()
-
-    def test_names_constant(self):
-        assert MODEL_CORE_NAMES == ("array", "object")
 
     def test_state_cached_by_identity(self, figure4_ext):
         assert ModelState.of(figure4_ext) is ModelState.of(figure4_ext)
 
 
 class TestKernelBitIdentity:
-    """Array kernels vs the per-commodity object walks, bit for bit."""
+    """Engine kernels vs the paper-literal scalar walks, bit for bit."""
 
     @pytest.fixture(params=["figure4_ext", "small_random_ext", "wide_random_ext"])
     def ext(self, request):
         return request.getfixturevalue(request.param)
 
-    def _references(self, ext, monkeypatch):
-        """Everything the object core computes, for two routing states.
+    def _references(self, ext):
+        """Everything the scalar walks compute, for two routing states.
 
         A converged iterate leaves most fractions at zero -- at most 3
         nonzero terms in any sum, even on the wide instance -- so a random
@@ -70,43 +99,68 @@ class TestKernelBitIdentity:
         """
         out = []
         for routing in (converged_routing(ext), random_routing(ext, seed=0)):
-            monkeypatch.setenv(MODEL_CORE_ENV, "object")
-            traffic = solve_traffic(ext, routing)
-            edge_usage, node_usage = resource_usage(ext, routing, traffic)
+            traffic = solve_traffic_scalar(ext, routing)
+            edge_usage, node_usage = resource_usage_scalar(ext, routing, traffic)
             dadf = link_cost_derivative(ext, CostModel(), edge_usage, node_usage)
-            dadr = all_marginal_costs(ext, routing, dadf)
-            monkeypatch.delenv(MODEL_CORE_ENV)
-            out.append((routing, traffic, edge_usage, node_usage, dadf, dadr))
+            dadr, delta = scalar_marginals(ext, routing, dadf)
+            out.append((routing, traffic, edge_usage, node_usage, dadf, dadr, delta))
         return out
 
-    def test_forward_wave(self, ext, monkeypatch):
-        for routing, traffic, *_ in self._references(ext, monkeypatch):
+    def test_forward_wave(self, ext):
+        for routing, traffic, *_ in self._references(ext):
             t = external_inputs(ext)
             ModelState.of(ext).solve_traffic_into(
                 t.reshape(-1), routing.phi.reshape(-1)
             )
             assert np.array_equal(t, traffic)
 
-    def test_usage(self, ext, monkeypatch):
-        for routing, traffic, edge_usage, node_usage, *_ in self._references(
-            ext, monkeypatch
-        ):
+    def test_usage(self, ext):
+        for routing, traffic, edge_usage, node_usage, *_ in self._references(ext):
             eu, nu = ModelState.of(ext).resource_usage(
                 routing.phi.reshape(-1), traffic.reshape(-1)
             )
             assert np.array_equal(eu, edge_usage)
             assert np.array_equal(nu, node_usage)
 
-    def test_reverse_wave(self, ext, monkeypatch):
-        for routing, _t, _eu, _nu, dadf, dadr in self._references(ext, monkeypatch):
+    def test_reverse_wave(self, ext):
+        for routing, _t, _eu, _nu, dadf, dadr, _d in self._references(ext):
             got = ModelState.of(ext).marginal_costs(routing.phi.reshape(-1), dadf)
             assert np.array_equal(got, dadr)
 
-    def test_block_kernels_tile_the_full_sweep(self, ext, monkeypatch):
+    def _assert_blocked_sets_tile(self, ext, routing, traffic, dadr, delta):
+        """Full-width and per-commodity blocked sets equal the scalar rows."""
+        state = ModelState.of(ext)
+        expected = np.stack(
+            [
+                compute_blocked_sets_scalar(
+                    ext, j, routing, traffic, dadr[j], delta[j], ETA
+                )
+                for j in range(ext.num_commodities)
+            ]
+        )
+        got = compute_all_blocked_sets(ext, routing, traffic, dadr, delta, ETA)
+        assert np.array_equal(got, expected)
+        blocked = np.zeros_like(expected)
+        for j in range(ext.num_commodities):
+            any_blocked = state.blocked_sets_block(
+                blocked.reshape(-1),
+                routing.phi.reshape(-1),
+                traffic.reshape(-1),
+                dadr.reshape(-1),
+                delta.reshape(-1),
+                ETA,
+                j,
+                j + 1,
+            )
+            assert any_blocked == bool(expected[j].any())
+        assert np.array_equal(blocked, expected)
+        return expected
+
+    def test_block_kernels_tile_the_full_sweep(self, ext):
         state = ModelState.of(ext)
         J = ext.num_commodities
-        for routing, traffic, edge_usage, _nu, dadf, dadr in self._references(
-            ext, monkeypatch
+        for routing, traffic, edge_usage, _nu, dadf, dadr, delta in self._references(
+            ext
         ):
             phi_flat = routing.phi.reshape(-1)
             # forward, one commodity at a time
@@ -119,21 +173,43 @@ class TestKernelBitIdentity:
             # on the master over the traffic rows the blocks wrote
             got_usage, _ = state.resource_usage(phi_flat, t.reshape(-1))
             assert np.array_equal(got_usage, edge_usage)
-            # reverse, per-commodity rows
+            # reverse and edge marginals, per-commodity rows
             got = np.zeros_like(dadr)
+            got_delta = np.zeros_like(delta)
             for j in range(J):
                 state.marginal_costs_block(got.reshape(-1), phi_flat, dadf, j, j + 1)
+                state.edge_marginals_block(
+                    got_delta.reshape(-1), dadf, got.reshape(-1), j, j + 1
+                )
             assert np.array_equal(got, dadr)
+            assert np.array_equal(got_delta[ext.allowed], delta[ext.allowed])
+            # blocked sets, per commodity and full width
+            self._assert_blocked_sets_tile(ext, routing, traffic, dadr, got_delta)
 
-    def test_context_delta_matches_on_allowed_cells(self, ext, monkeypatch):
+        # a state that blocks, with its first improper cell past level 0
+        routing, traffic, dadr, delta = blocking_state(ext)
+        improper = np.stack(
+            [
+                improper_links(ext, j, routing, traffic, dadr[j], delta[j], ETA)
+                for j in range(J)
+            ]
+        ).reshape(-1)[state.cell_edges]
+        assert improper.any()
+        assert state.block(0, J).cell_level[improper].min() > 0
+        expected = self._assert_blocked_sets_tile(ext, routing, traffic, dadr, delta)
+        assert expected.any()
+
+    def test_context_delta_matches_on_allowed_cells(self, ext):
         routing = converged_routing(ext)
-        ctx_array = build_iteration_context(ext, routing, CostModel())
-        monkeypatch.setenv(MODEL_CORE_ENV, "object")
-        ctx_object = build_iteration_context(ext, routing, CostModel())
-        assert np.array_equal(ctx_array.traffic, ctx_object.traffic)
-        assert np.array_equal(ctx_array.edge_usage, ctx_object.edge_usage)
+        ctx = build_iteration_context(ext, routing, CostModel())
+        traffic = solve_traffic_scalar(ext, routing)
+        edge_usage, node_usage = resource_usage_scalar(ext, routing, traffic)
+        dadf = link_cost_derivative(ext, CostModel(), edge_usage, node_usage)
+        _dadr, delta = scalar_marginals(ext, routing, dadf)
+        assert np.array_equal(ctx.traffic, traffic)
+        assert np.array_equal(ctx.edge_usage, edge_usage)
         mask = ext.allowed
-        assert np.array_equal(ctx_array.delta[mask], ctx_object.delta[mask])
+        assert np.array_equal(ctx.delta[mask], delta[mask])
 
 
 def test_wide_fixture_has_pairwise_width_rows(wide_random_ext):
@@ -145,33 +221,52 @@ def test_wide_fixture_has_pairwise_width_rows(wide_random_ext):
 
 
 class TestEndToEndIdentity:
-    def test_solve_is_core_independent(self, monkeypatch):
+    def test_compare_reference_oracle(self):
         from repro.scenarios import paper_figure4_network
 
-        net = paper_figure4_network(seed=7)
-        cfg = GradientConfig(max_iterations=120)
-        monkeypatch.delenv(MODEL_CORE_ENV, raising=False)
-        via_array = solve(net, config=cfg, full_result=True)
-        monkeypatch.setenv(MODEL_CORE_ENV, "object")
-        via_object = solve(net, config=cfg, full_result=True)
-        assert np.array_equal(
-            via_array.solution.routing.phi, via_object.solution.routing.phi
-        )
-        assert np.array_equal(via_array.utilities, via_object.utilities)
-
-    def test_compare_cores_oracle(self):
-        from repro.scenarios import paper_figure4_network
-
-        report = compare_cores(
+        report = DifferentialOracle().compare_reference(
             paper_figure4_network(seed=7),
+            iterations=120,
             config=GradientConfig(max_iterations=120),
         )
         assert report.bit_identical
         assert report.passed
+        assert report.extras["diverged_at"] is None
+
+    def test_compare_reference_flags_a_divergent_step(self, monkeypatch):
+        from repro.core.gradient import GradientAlgorithm
+        from repro.scenarios import figure1_network
+
+        real = GradientAlgorithm.step_reference
+
+        def drifting(self, routing, eta=None):
+            new = real(self, routing, eta)
+            new.phi *= 1.0 + 1e-15  # a few ulps on every nonzero fraction
+            return new
+
+        monkeypatch.setattr(GradientAlgorithm, "step_reference", drifting)
+        report = DifferentialOracle().compare_reference(figure1_network(), iterations=5)
+        assert not report.bit_identical
+        assert not report.passed
+        assert report.extras["diverged_at"] == 1
+
+    def test_step_reference_never_builds_the_engine(self):
+        from repro.core.gradient import GradientAlgorithm
+        from repro.core.routing import initial_routing
+        from repro.core.transform import build_extended_network
+        from repro.scenarios import figure1_network
+
+        ext = build_extended_network(figure1_network())
+        algo = GradientAlgorithm(ext, GradientConfig())
+        routing = initial_routing(ext)
+        for _ in range(3):
+            routing = algo.step_reference(routing)
+        assert getattr(ext, "_model_state", None) is None
 
 
 class TestSparseInstanceProperties:
-    """Array-core bit-identity fuzzed over the sparse large-J family."""
+    """Engine bit-identity with the scalar walks, fuzzed over the sparse
+    large-J family."""
 
     def test_cores_bit_identical_across_sparse_instances(self):
         import os
@@ -192,17 +287,17 @@ class TestSparseInstanceProperties:
             network, seed, _tier = drawn
             ext = build_extended_network(network)
             routing = random_routing(ext, seed)
-            ctx_array = build_iteration_context(ext, routing, CostModel())
-            os.environ[MODEL_CORE_ENV] = "object"
-            try:
-                ctx_object = build_iteration_context(ext, routing, CostModel())
-            finally:
-                del os.environ[MODEL_CORE_ENV]
-            assert np.array_equal(ctx_array.traffic, ctx_object.traffic)
-            assert np.array_equal(ctx_array.edge_usage, ctx_object.edge_usage)
-            assert np.array_equal(ctx_array.dadr, ctx_object.dadr)
+            ctx = build_iteration_context(ext, routing, CostModel())
+            traffic = solve_traffic_scalar(ext, routing)
+            edge_usage, node_usage = resource_usage_scalar(ext, routing, traffic)
+            dadf = link_cost_derivative(ext, CostModel(), edge_usage, node_usage)
+            dadr, delta = scalar_marginals(ext, routing, dadf)
+            assert np.array_equal(ctx.traffic, traffic)
+            assert np.array_equal(ctx.edge_usage, edge_usage)
+            assert np.array_equal(ctx.node_usage, node_usage)
+            assert np.array_equal(ctx.dadr, dadr)
             mask = ext.allowed
-            assert np.array_equal(ctx_array.delta[mask], ctx_object.delta[mask])
+            assert np.array_equal(ctx.delta[mask], delta[mask])
 
         check()
 
@@ -214,22 +309,8 @@ class TestApiModule:
         for name in api.__all__:
             assert getattr(api, name) is not None
 
-    def test_deprecated_hot_state_warns_and_forwards(self):
-        import repro.api as api
-        from repro.core.routing import solve_traffic as real
-
-        with pytest.warns(DeprecationWarning, match="solve_traffic"):
-            shim = api.solve_traffic
-        assert shim is real
-
     def test_unknown_attribute_raises(self):
         import repro.api as api
 
         with pytest.raises(AttributeError):
             api.does_not_exist
-
-    def test_dir_lists_deprecated_names(self):
-        import repro.api as api
-
-        listing = dir(api)
-        assert "ModelState" in listing and "resource_usage" in listing
