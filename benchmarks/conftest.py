@@ -8,9 +8,13 @@ factor, monotonicity) encode what the paper reports.
 
 from __future__ import annotations
 
+import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from repro import build_extended_network, solve_lp
 from repro.scenarios import paper_figure4_network
@@ -42,3 +46,13 @@ def emit(title: str, body: str) -> None:
     results_dir = Path(__file__).resolve().parent / "results"
     results_dir.mkdir(exist_ok=True)
     (results_dir / f"{slug}.txt").write_text(block)
+
+
+def host_context() -> dict:
+    """The host a bench ran on, for the ``context`` of its BENCH_*.json."""
+    return {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }

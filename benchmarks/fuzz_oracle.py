@@ -7,13 +7,14 @@ tests draw from) and cross-checks it two ways:
 * **algorithm vs algorithm** -- the calibrated distributed gradient against
   the centralized concave optimum, agreeing within the oracle's utility
   tolerance (the eps-barrier keeps a few percent of headroom by design);
-* **backend vs backend** -- the serial engine against ``workers=2``
-  process-parallel execution, which must be *bit-identical* (the contract
-  of docs/parallelism.md, enforced through the same oracle path).
+* **engine vs reference** -- the :class:`~repro.core.state.ModelState`
+  engine against the paper-literal scalar walks, advanced in lockstep,
+  which must agree *bit for bit* on every iterate
+  (:meth:`~repro.validate.DifferentialOracle.compare_reference`).
 
-Every final solution is also run through the invariant checker, so a fuzz
-seed that produces a conservation or capacity violation fails loudly even
-when the two sides happen to agree with each other.
+The gradient-vs-optimum solutions are also run through the invariant
+checker, so a fuzz seed that produces a conservation or capacity violation
+fails loudly even when the two sides happen to agree with each other.
 
 The seed matrix comes from ``FUZZ_SEEDS`` (comma- or space-separated;
 default ``0,1,2,3,4``), which is how CI shards the sweep across jobs::
@@ -53,13 +54,7 @@ def test_gradient_matches_concave_optimum(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_serial_vs_parallel_bit_identical(seed):
-    report = DifferentialOracle().compare_backends(
-        _network(seed),
-        workers=2,
-        config=calibrated_gradient_config(max_iterations=500),
-        validate=True,
-    )
+def test_engine_matches_scalar_reference(seed):
+    report = DifferentialOracle().compare_reference(_network(seed), iterations=500)
     assert report.passed, report.summary()
-    assert report.bit_identical, report.summary()
-    assert report.validation_passed, report.summary()
+    assert report.extras["diverged_at"] is None, report.summary()

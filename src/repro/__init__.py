@@ -32,8 +32,6 @@ Algorithm objects (full control + convergence history)::
 See README.md for a quickstart and DESIGN.md for the paper-to-module map.
 """
 
-import warnings
-from dataclasses import replace
 from typing import Optional, Union
 
 from repro.core import (
@@ -141,52 +139,10 @@ __all__ = [
 
 SOLVE_METHODS = ("gradient", "optimal", "backpressure", "distributed")
 
-# legacy keyword spellings accepted (with a DeprecationWarning) by solve();
-# each maps onto a field of the method's config class
-_LEGACY_GRADIENT_KEYS = (
-    "eta",
-    "max_iterations",
-    "tolerance",
-    "patience",
-    "use_blocking",
-    "record_every",
-    "adaptive_eta",
-    "eps",
-)
-_LEGACY_BACKPRESSURE_KEYS = (
-    "buffer_cap",
-    "slot_length",
-    "max_iterations",
-    "record_every",
-)
 
-
-def _coerce_config(method: str, config, legacy: dict):
-    """Resolve the uniform ``config=`` argument (plus deprecated kwargs)."""
+def _check_config(method: str, config):
+    """Resolve the uniform ``config=`` argument to the method's config."""
     cls = BackpressureConfig if method == "backpressure" else GradientConfig
-    allowed = (
-        _LEGACY_BACKPRESSURE_KEYS
-        if method == "backpressure"
-        else _LEGACY_GRADIENT_KEYS
-    )
-    if legacy:
-        unknown = sorted(set(legacy) - set(allowed))
-        if unknown:
-            raise TypeError(
-                f"solve() got unexpected keyword arguments {unknown} "
-                f"for method {method!r}"
-            )
-        warnings.warn(
-            f"passing {sorted(legacy)} to solve() directly is deprecated; "
-            f"pass config={cls.__name__}(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        fields = dict(legacy)
-        eps = fields.pop("eps", None)
-        if eps is not None:
-            fields["cost_model"] = CostModel(eps=eps)
-        config = replace(config, **fields) if config is not None else cls(**fields)
     if config is not None and not isinstance(config, cls):
         raise TypeError(
             f"method {method!r} takes a {cls.__name__}, "
@@ -201,13 +157,12 @@ def solve(
     config: Optional[Union[GradientConfig, BackpressureConfig]] = None,
     instrumentation: Optional[Instrumentation] = None,
     full_result: Optional[bool] = None,
-    workers: Optional[Union[int, str]] = None,
+    workers: Optional[int] = None,
     backend=None,
     staleness: Optional[int] = None,
     execution: Optional[str] = None,
     validate: Union[bool, str, None] = None,
     options: Optional[SolveOptions] = None,
-    **legacy,
 ):
     """Solve the joint admission/routing/allocation problem for a model.
 
@@ -234,8 +189,7 @@ def solve(
         One optional config object, uniform across methods: a
         :class:`GradientConfig` for ``"gradient"``/``"distributed"``, a
         :class:`BackpressureConfig` for ``"backpressure"``; ``"optimal"``
-        takes none.  (Per-parameter keyword arguments such as ``eta=`` are
-        deprecated aliases that still work but warn.)
+        takes none.
     instrumentation:
         Optional :class:`repro.obs.Instrumentation` hook collecting phase
         timings, trajectory events, and (distributed mode) message/byte
@@ -246,38 +200,28 @@ def solve(
         :class:`~repro.core.solution.Solution`.  Uniform across methods:
         ``"optimal"`` returns an :class:`OptimalResult` wrapper.
     workers:
-        Parallel execution (``"gradient"``/``"distributed"`` only): shard
-        the per-commodity iteration work across this many workers.  An
-        integer >= 2 keeps its historical meaning (the process backend,
-        :class:`repro.parallel.ParallelBackend`); ``workers=1`` resolves to
-        the serial engine (a pool of one is pure overhead); the string
-        ``"auto"`` lets :func:`repro.parallel.auto_backend` pick
-        serial/thread/process from CPUs and problem size so small
-        instances never pay pool overhead.  Synchronous parallel iterates
-        are bit-identical to the serial default (``None``); see
+        Worker processes for the batched-staleness pool
+        (:class:`repro.parallel.ParallelBackend`), ``method="gradient"``
+        only.  ``workers=N`` with ``N >= 2`` needs ``staleness >= 1``;
+        ``workers=1`` and the default ``None`` run the serial engine.  See
         ``docs/parallelism.md``.
     backend:
-        Explicit backend selection: an
-        :class:`~repro.parallel.ExecutionBackend` instance (borrowed -- the
-        caller closes it) or one of ``"serial"``/``"thread"``/
-        ``"process"``/``"auto"``, combinable with ``workers=<count>``.
-        When neither ``backend`` nor ``workers`` is given, the
-        ``REPRO_BACKEND`` environment variable supplies a default name.
-        Backends built here are context-managed: pools and shared-memory
+        A :class:`~repro.parallel.SerialBackend` or
+        :class:`~repro.parallel.ParallelBackend` instance, borrowed (the
+        caller closes it), or ``None``.  A pool built here from
+        ``workers=`` is context-managed: its processes and shared-memory
         segments are released even when the run raises mid-iteration.
     staleness:
-        Bounded-staleness batched dispatch for the process backend
-        (``method="gradient"`` only): run up to ``staleness + 1``
+        With ``workers >= 2``: the pool runs up to ``staleness + 1``
         iterations per worker round-trip with the global link-cost
-        derivative frozen inside a batch.  ``staleness=0`` (and the
-        default ``None``) keeps the synchronous bit-identical schedule;
-        ``staleness=K`` is a documented relaxed mode (drift bound in
-        docs/parallelism.md).  Batching engages between trajectory
-        records, so it needs ``config.record_every > 1`` to take effect.
-        Under ``method="distributed", execution="async"`` the same number
-        is the bounded-staleness freshness rule of the barrier-free
-        engine: a node may iterate on neighbour values up to ``staleness``
-        epochs older than its own counter (default
+        derivative frozen inside a batch.  The final utility drifts from
+        serial within ``repro.validate.STALENESS_DRIFT_RTOL``.  Batches
+        never cross a trajectory record, so the pool needs
+        ``config.record_every > 1`` to run at all.  Under
+        ``method="distributed", execution="async"`` the same number is the
+        bounded-staleness freshness rule of the barrier-free engine: a node
+        may iterate on neighbour values up to ``staleness`` epochs older
+        than its own counter (default
         :data:`repro.simulation.async_engine.DEFAULT_STALENESS`).
     execution:
         Execution model for ``method="distributed"``: ``"sync"`` (and the
@@ -318,8 +262,8 @@ def solve(
         if value is not None
     }
     if options is not None:
-        if explicit or legacy:
-            clash = sorted(explicit) + sorted(legacy)
+        if explicit:
+            clash = sorted(explicit)
             raise TypeError(
                 f"solve() got both options= and the keyword aliases {clash}; "
                 f"fold them into the SolveOptions (options.replace(...))"
@@ -333,14 +277,14 @@ def solve(
         opts = SolveOptions.from_kwargs(**explicit)
     return _solve_impl(
         stream_network, opts.method, opts.config, opts.instrumentation,
-        opts.full_result, legacy,
+        opts.full_result,
         workers=opts.workers, backend=opts.backend, staleness=opts.staleness,
         execution=opts.execution, validate=opts.validate,
     )
 
 
 def _solve_impl(
-    stream_network, method, config, instrumentation, full_result, legacy,
+    stream_network, method, config, instrumentation, full_result,
     workers=None, backend=None, staleness=None, execution=None, validate=False,
 ):
     if method not in SOLVE_METHODS:
@@ -350,12 +294,17 @@ def _solve_impl(
     inst = instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
     ext = build_extended_network(stream_network)
 
+    if workers is not None and method != "gradient":
+        raise TypeError(
+            f"workers= builds the batched-staleness pool, which only "
+            f"method='gradient' runs, not {method!r}"
+        )
     if method not in ("gradient", "distributed") and (
-        workers is not None or backend is not None or staleness is not None
+        backend is not None or staleness is not None
     ):
         raise TypeError(
-            f"workers=/backend=/staleness= apply only to the "
-            f"gradient/distributed methods, not {method!r}"
+            f"backend=/staleness= apply only to the gradient/distributed "
+            f"methods, not {method!r}"
         )
     if execution is not None:
         if execution not in ("sync", "async"):
@@ -376,7 +325,7 @@ def _solve_impl(
         )
 
     if method == "optimal":
-        if config is not None or legacy:
+        if config is not None:
             raise TypeError("method 'optimal' takes no config")
         with inst.phase("optimal_solve"):
             solution = solve_optimal(ext)
@@ -384,25 +333,21 @@ def _solve_impl(
             inst.gauge("final_utility", solution.utility)
         result = OptimalResult(solution=solution)
     elif method == "backpressure":
-        cfg = _coerce_config(method, config, legacy)
+        cfg = _check_config(method, config)
         result = BackpressureAlgorithm(ext, cfg).run(
             instrumentation=instrumentation
         )
     else:
-        cfg = _coerce_config(method, config, legacy)
+        cfg = _check_config(method, config)
         from contextlib import nullcontext
 
         from repro.parallel import resolve_backend
 
         # under execution="async", staleness parameterizes the freshness
-        # rule of the event-driven engine, not the backend's batched
-        # dispatch -- the snapshot-evaluation backend stays synchronous
+        # rule of the event-driven engine, not the pool's batches -- the
+        # snapshot-evaluation backend stays serial
         resolved = resolve_backend(
-            backend,
-            workers,
-            ext=ext,
-            staleness=None if asynchronous else staleness,
-            instrumentation=inst,
+            backend, workers, staleness=None if asynchronous else staleness
         )
         # a caller-supplied backend instance is borrowed (the caller closes
         # it); anything resolve_backend built here is owned, and the with

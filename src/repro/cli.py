@@ -19,15 +19,14 @@ Examples
     python -m repro info model.json --json
     python -m repro solve model.json --method gradient --step-size 0.04 -o sol.json
     python -m repro solve model.json --metrics-out m.json --trace-out t.json
-    python -m repro solve model.json --workers 4          # process-parallel
-    python -m repro solve model.json --workers auto       # size-aware backend
-    python -m repro solve model.json --backend thread --workers 2
+    python -m repro solve model.json --workers 2 --staleness 4 --record-every 10
     python -m repro solve model.json --validate           # attach the audit
-    python -m repro profile model.json --max-iterations 2000 --workers 2
+    python -m repro profile model.json --max-iterations 2000 \
+        --workers 2 --staleness 4 --record-every 10
     python -m repro validate model.json --method optimal --strict
     python -m repro validate --self-test                  # fault injection
     python -m repro figure4 --seed 7
-    python -m repro serve model.json --port 7471 --workers 4
+    python -m repro serve model.json --port 7471 --workers 2 --staleness 4
     python -m repro serve --nodes 120 --commodities 12 --batch-window 0.02
     python -m repro serve --scenario serve-smoke-30
     python -m repro scenario list --json
@@ -38,8 +37,9 @@ Examples
 ``solve --json`` emits one JSON document (the ``repro.result/1`` schema,
 plus an embedded ``repro.metrics/1`` registry section when instrumentation
 ran); ``--metrics-out`` / ``--trace-out`` write the full metrics document
-and a ``chrome://tracing`` timeline.  ``--eta`` still works as a deprecated
-alias of ``--step-size``.
+and a ``chrome://tracing`` timeline.  ``--workers N --staleness K`` runs the
+batched-staleness worker pool, whose batches never cross a trajectory
+record: without ``--record-every`` above 1 the pool never runs.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from typing import List, Optional
 
 from repro import (
@@ -135,18 +134,6 @@ def _make_config(args: argparse.Namespace):
     return GradientConfig(**kwargs)
 
 
-def _workers_arg(value: str):
-    """``--workers`` accepts an integer count or the string ``auto``."""
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--workers takes an integer or 'auto', got {value!r}"
-        )
-
-
 def _model_label(args: argparse.Namespace) -> str:
     """What the output documents call the input model."""
     if getattr(args, "scenario", None) is not None:
@@ -178,7 +165,6 @@ def _instrumented_solve(args: argparse.Namespace, instrumentation, validate=Fals
         instrumentation=instrumentation,
         full_result=True,
         workers=args.workers,
-        backend=args.backend,
         staleness=args.staleness,
         execution=args.execution,
         validate=validate,
@@ -446,7 +432,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         method="gradient",
         config=GradientConfig(eta=args.step_size),
         workers=args.workers,
-        backend=args.backend,
         staleness=args.staleness,
     )
     inst = Instrumentation() if args.metrics_out else None
@@ -509,39 +494,28 @@ def _add_solver_options(
     )
     parser.add_argument(
         "--step-size",
-        "--eta",
-        dest="step_size",
         type=float,
         default=0.04,
-        help="gradient step size eta (--eta is a deprecated alias)",
+        help="gradient step size eta",
     )
     parser.add_argument("--eps", type=float, default=0.2)
     parser.add_argument("--adaptive", action="store_true", help="adaptive step scale")
     parser.add_argument("--max-iterations", type=int, default=20000)
     parser.add_argument(
         "--workers",
-        type=_workers_arg,
+        type=int,
         default=None,
-        metavar="N|auto",
-        help="shard per-commodity work across N workers, or 'auto' to pick "
-        "a backend from CPUs and problem size (gradient/distributed; "
-        "synchronous iterates stay bit-identical to serial)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["serial", "thread", "process", "auto"],
-        default=None,
-        help="execution backend (default: serial, or $REPRO_BACKEND); "
-        "combinable with --workers",
+        metavar="N",
+        help="run the batched-staleness worker pool on N processes "
+        "(method=gradient only; N >= 2 needs --staleness)",
     )
     parser.add_argument(
         "--staleness",
         type=int,
         default=None,
         metavar="K",
-        help="process-backend batched dispatch: up to K+1 iterations per "
-        "worker round-trip with the global derivative held stale "
-        "(0 = synchronous bit-identical mode; needs --record-every > 1)",
+        help="pool batches: up to K+1 iterations per worker round-trip with "
+        "the global derivative held stale (K >= 1; needs --record-every > 1)",
     )
     parser.add_argument(
         "--execution",
@@ -725,9 +699,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="revert arrivals whose admitted rate stays below RATE",
     )
     srv.add_argument("--step-size", type=float, default=0.04)
-    srv.add_argument("--workers", type=_workers_arg, default=None, metavar="N|auto")
     srv.add_argument(
-        "--backend", choices=["serial", "thread", "process", "auto"], default=None
+        "--workers", type=int, default=None, metavar="N",
+        help="run warm-up and refine batches on an N-process pool "
+        "(N >= 2 needs --staleness)",
     )
     srv.add_argument("--staleness", type=int, default=None, metavar="K")
     srv.add_argument(
@@ -739,18 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warn_deprecated_flags(argv: List[str]) -> None:
-    # argparse in this Python has no deprecated= support, so the alias is
-    # detected on the raw argv before parsing
-    if any(token == "--eta" or token.startswith("--eta=") for token in argv):
-        warnings.warn(
-            "--eta is deprecated; use --step-size", DeprecationWarning, stacklevel=2
-        )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    _warn_deprecated_flags(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

@@ -18,7 +18,7 @@ a new state gets a new context (see :meth:`GradientAlgorithm.run
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork
 from repro.obs.instrumentation import NULL_INSTRUMENTATION
 
-__all__ = ["IterationContext", "build_iteration_context"]
+__all__ = ["IterationContext", "build_iteration_context", "derive_marginals"]
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,9 @@ class IterationContext:
 
     ``dadr`` and ``delta`` are ``None`` when the context was built with
     ``with_derivatives=False`` (recording-only consumers such as the
-    distributed runner's per-record cost evaluation).
+    distributed runner's per-record cost evaluation) and after a batch of
+    :class:`repro.parallel.ParallelBackend`, whose context carries ``dadf``
+    only (:func:`derive_marginals` finishes the chain from it).
     """
 
     routing: RoutingState
@@ -86,12 +88,7 @@ def build_iteration_context(
     if with_derivatives:
         with instrumentation.phase("derivatives"):
             dadf = link_cost_derivative(ext, cost_model, edge_usage, node_usage)
-            dadr = all_marginal_costs(ext, routing, dadf)
-            # sparse fill over the allowed cells only: every consumer of the
-            # context's delta masks to allowed cells, where this is
-            # bit-identical to the dense table (off-graph cells read 0.0
-            # here instead of the meaningless dense dadr[head] term)
-            delta = ModelState.of(ext).edge_marginals_dense(dadf, dadr.reshape(-1))
+            dadr, delta = derive_marginals(ext, routing, dadf)
     return IterationContext(
         routing=routing,
         traffic=traffic,
@@ -102,3 +99,17 @@ def build_iteration_context(
         dadr=dadr,
         delta=delta,
     )
+
+
+def derive_marginals(
+    ext: ExtendedNetwork, routing: RoutingState, dadf: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The reverse marginal-cost wave (eq. (9)) and the edge marginals
+    (eq. (15)'s bracket) of ``routing`` under the link derivative ``dadf``."""
+    dadr = all_marginal_costs(ext, routing, dadf)
+    # sparse fill over the allowed cells only: every consumer of the
+    # context's delta masks to allowed cells, where this is bit-identical to
+    # the dense table (off-graph cells read 0.0 here instead of the
+    # meaningless dense dadr[head] term)
+    delta = ModelState.of(ext).edge_marginals_dense(dadf, dadr.reshape(-1))
+    return dadr, delta

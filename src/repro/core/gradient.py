@@ -401,11 +401,10 @@ class GradientAlgorithm:
         ``instrumentation`` times the backend's phases; it is read-only and
         never changes an iterate.
 
-        The actual work happens in the configured execution backend
-        (:class:`repro.parallel.SerialBackend` by default, or a
-        :class:`repro.parallel.ParallelBackend` sharding the
-        :class:`~repro.core.state.ModelState` row-block kernels across
-        worker processes).  Every backend produces bit-identical iterates.
+        The actual work happens in the configured execution backend's
+        serial engine (:class:`repro.parallel.SerialBackend`; a
+        :class:`repro.parallel.ParallelBackend` inherits the same
+        ``step``).
         """
         return self.backend.step(
             routing, eta=eta, context=context, instrumentation=instrumentation
@@ -514,14 +513,13 @@ class GradientAlgorithm:
         eta_floor = cfg.eta * cfg.eta_min_factor
         eta_ceiling = cfg.eta * cfg.eta_max_factor
 
-        # A backend with staleness=K may run up to K+1 iterations per
-        # dispatch.  The span never crosses a record_every boundary, so the
+        # A ParallelBackend with staleness=K may run up to K+1 iterations
+        # per batch.  The span never crosses a record_every boundary, so the
         # recorded trajectory keeps its exact serial cadence; divergence,
-        # adaptive-eta, and convergence checks then run once per dispatch
-        # (per iteration in the default synchronous case, where span == 1
-        # and this loop performs the identical calls in the identical
-        # order as the historical per-iteration loop).
-        batch = 1 + max(0, int(getattr(self.backend, "staleness", 0)))
+        # adaptive-eta, and convergence checks then run once per batch (per
+        # iteration on the serial engine, whose staleness is 0, so span is
+        # always 1).
+        batch = 1 + self.backend.staleness
         iteration = 0
         while iteration < cfg.max_iterations:
             span = min(batch, cfg.max_iterations - iteration)

@@ -330,8 +330,8 @@ def optimality_residual(
     if context is not None and context.dadr is not None:
         dadr_all, delta_all = context.dadr, context.delta
     else:
-        # a parallel-backend context carries dadf but not the stacked
-        # derivative arrays; run the reverse wave here then
+        # a batch-final context (ParallelBackend.advance) carries dadf but
+        # not the stacked derivative arrays; run the reverse wave here then
         dadr_all, delta_all = all_marginal_costs(ext, routing, dadf), None
 
     per_equal: List[float] = []

@@ -75,8 +75,8 @@ sorted by commodity, a parallel shard over commodities ``[lo, hi)`` is a
 slices once and the block kernels run the same sweeps restricted to the
 block; the serial engine's blocked sets are the block ``[0, J)``.  Usage
 is the one sum that crosses commodities, so it has no block kernel: the
-backends run the full-width :meth:`ModelState.resource_usage` once every
-shard's traffic rows have landed.
+worker pool runs the full-width :meth:`ModelState.resource_usage` on the
+master once every shard's traffic rows have landed.
 """
 
 from __future__ import annotations
@@ -329,8 +329,8 @@ class ModelState:
         ``O(J * E)``.
 
         This is the one sum across commodities, so it always runs over the
-        whole cell list: the sharded backends call it on the master once
-        every shard's traffic rows have landed.
+        whole cell list: the worker pool calls it on the master once every
+        shard's traffic rows have landed.
         """
         contrib = t_flat[self.cell_tails] * phi_flat[self.cell_edges] * self.cell_cost
         edge_usage = np.bincount(self.cell_raw, contrib, self.num_edges)
@@ -370,7 +370,7 @@ class ModelState:
         )
         return delta
 
-    # -- row-block kernels (shards of the parallel backends) --------------------------
+    # -- row-block kernels (the worker pool's shards) -----------------------------------
     def block(self, lo: int, hi: int) -> BlockPlans:
         """The cached restriction of every plan to commodities ``[lo, hi)``."""
         key = (lo, hi)

@@ -41,7 +41,7 @@ class SolverError(StreamFlowError):
 
 
 class ParallelExecutionError(StreamFlowError):
-    """The process-parallel backend failed (worker crash, broken pool, misuse)."""
+    """The worker pool failed (worker crash, broken pool, misuse)."""
 
 
 class SimulationError(StreamFlowError):

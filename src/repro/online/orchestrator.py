@@ -13,11 +13,14 @@ each event it
    the paper's claim that reserved headroom speeds up recovery,
 3. optionally applies :func:`emergency_shed` so hard capacities hold
    immediately, and
-4. refreshes the execution backend (``algo.refresh``) -- a parallel
-   backend republishes only dirty shared-memory segments and keeps its
-   worker pool alive -- then keeps iterating, recording the utility
-   trajectory and, per event, how many iterations the algorithm needs to
-   re-enter 95% of the *new* optimum.
+4. refreshes the execution backend (``algo.refresh``), then keeps
+   iterating, recording the utility trajectory and, per event, how many
+   iterations the algorithm needs to re-enter 95% of the *new* optimum.
+
+The orchestrator steps one iteration at a time (events land between
+iterations), so it runs the serial engine; the batched-staleness worker
+pool, which only runs multi-iteration ``advance`` batches, has nothing to
+do here.
 
 ``incremental=False`` selects the legacy full-rebuild path
 (:func:`repro.online.rebuild.apply_event` + a from-scratch
@@ -148,7 +151,6 @@ class OnlineOrchestrator:
         record_every: int = 10,
         incremental: bool = True,
         backend=None,
-        workers: Optional[int] = None,
         options=None,
     ) -> None:
         self.initial_network = network
@@ -158,43 +160,40 @@ class OnlineOrchestrator:
                 raise ModelError("one event per iteration, please")
         if options is not None:
             # the unified SolveOptions spelling (repro.options): carries
-            # config/backend/workers; the bare kwargs are its deprecated
-            # aliases and may not be combined with it
+            # config/backend; the bare kwargs are its deprecated aliases and
+            # may not be combined with it
             from repro.options import SolveOptions
 
             if not isinstance(options, SolveOptions):
                 raise ModelError(
                     f"options= takes a SolveOptions, got {type(options).__name__}"
                 )
-            if config is not None or backend is not None or workers is not None:
+            if config is not None or backend is not None:
                 raise ModelError(
-                    "pass either options= or the config=/backend=/workers= "
-                    "aliases, not both"
+                    "pass either options= or the config=/backend= aliases, "
+                    "not both"
                 )
             if options.method != "gradient":
                 raise ModelError(
                     "the online orchestrator drives the gradient method; "
                     f"got options.method={options.method!r}"
                 )
+            if options.workers is not None or options.staleness is not None:
+                raise ModelError(
+                    "the online orchestrator steps one iteration at a time, "
+                    "so a worker pool would never run; drop workers=/staleness="
+                )
             config = options.config
             backend = options.backend
-            workers = options.workers
         self.config = config or GradientConfig()
         self.warm_start = warm_start
         self.shed_on_event = shed_on_event
         self.record_every = record_every
         self.incremental = incremental
-        from repro.parallel.backend import ExecutionBackend
-
-        if isinstance(backend, ExecutionBackend) and workers is not None:
-            raise ModelError("pass either backend= or workers=, not both")
         # a caller-supplied backend instance is borrowed (the caller closes
-        # it); one we resolve from workers= / a backend name is owned and
-        # closed at the end of run()
+        # it); the default serial one is owned
         self._backend = backend
-        self._workers = workers
         self._epoch = 0
-        self._epoch_deprecation_warned = False
 
     @classmethod
     def from_scenario(
@@ -229,23 +228,8 @@ class OnlineOrchestrator:
 
         ``0`` before :meth:`run` starts and on the legacy full-rebuild path
         (``incremental=False``), which rebuilds from scratch and restarts
-        the version counter.  This is the supported accessor -- the serve
-        daemon and tests key off it; the bare ``epoch`` attribute is a
-        deprecated alias.
+        the version counter.
         """
-        return self._epoch
-
-    @property
-    def epoch(self) -> int:
-        """Deprecated alias of :meth:`current_epoch` (warns once per
-        instance, so a polling loop does not flood the log)."""
-        if not self._epoch_deprecation_warned:
-            self._epoch_deprecation_warned = True
-            warnings.warn(
-                "OnlineOrchestrator.epoch is deprecated; use current_epoch()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         return self._epoch
 
     def run(self, total_iterations: int, instrumentation=None) -> OnlineResult:
@@ -258,9 +242,7 @@ class OnlineOrchestrator:
 
         ext = build_extended_network(self.initial_network)
         self._epoch = int(ext.epoch)
-        backend = resolve_backend(
-            self._backend, self._workers, ext=ext, instrumentation=inst
-        )
+        backend = resolve_backend(self._backend)
         owns_backend = backend is not self._backend
         try:
             return self._run(total_iterations, inst, instrumentation, backend, ext)

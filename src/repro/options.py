@@ -38,15 +38,16 @@ class SolveOptions:
         The method's config object (:class:`~repro.core.GradientConfig` or
         :class:`~repro.core.BackpressureConfig`), or ``None`` for defaults.
     workers:
-        Parallel shard count: ``None`` (serial), an int, or ``"auto"``.
+        Worker processes for the batched-staleness pool: ``None`` or ``1``
+        (the serial engine), or ``N >= 2`` together with ``staleness``.
     backend:
-        Backend name (``"serial"``/``"thread"``/``"process"``/``"auto"``)
-        or a borrowed :class:`~repro.parallel.ExecutionBackend` instance.
+        A borrowed :class:`~repro.parallel.SerialBackend` or
+        :class:`~repro.parallel.ParallelBackend` instance, or ``None``.
     staleness:
-        Bounded-staleness batch depth for the process backend (``None`` /
-        ``0`` keeps the synchronous bit-identical schedule).  Under
-        ``execution="async"`` the same number bounds how many epochs a
-        node's neighbour view may lag before it must wait.
+        The pool's batch depth ``K >= 1``: up to ``K + 1`` iterations per
+        worker round-trip.  Under ``execution="async"`` the same number
+        bounds how many epochs a node's neighbour view may lag before it
+        must wait.
     execution:
         Execution model for ``method="distributed"``: ``None``/``"sync"``
         for the phase-barrier runner, ``"async"`` for the barrier-free
@@ -61,7 +62,7 @@ class SolveOptions:
 
     method: str = "gradient"
     config: Any = None
-    workers: Union[int, str, None] = None
+    workers: Optional[int] = None
     backend: Any = None
     staleness: Optional[int] = None
     execution: Optional[str] = None

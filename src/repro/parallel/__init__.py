@@ -1,34 +1,12 @@
-"""Parallel execution backends for the gradient engine.
+"""Execution backends for the gradient engine.
 
-See :mod:`repro.parallel.backend` for the backend classes and
-``docs/parallelism.md`` for the design: per-commodity sharding over a
-thread pool (:class:`ThreadBackend`, zero-copy) or a process pool
-(:class:`ParallelBackend`, shared-memory array exchange, optional
-bounded-staleness batched dispatch), the determinism contract that keeps
-synchronous parallel iterates bit-identical to serial ones, and the
-size-aware auto-selection behind ``workers="auto"``.
+See :mod:`repro.parallel.backend` for the two backend classes and
+``docs/parallelism.md`` for the design: :class:`SerialBackend` is the
+engine, and :class:`ParallelBackend` adds a process pool that runs
+bounded-staleness batches (per-commodity sharding, shared-memory array
+exchange, a monotonicity guard, crash safety and online refresh).
 """
 
-from repro.parallel.backend import (
-    BACKEND_NAMES,
-    REPRO_BACKEND_ENV,
-    ExecutionBackend,
-    ParallelBackend,
-    SerialBackend,
-    auto_backend,
-    available_cpus,
-    resolve_backend,
-)
-from repro.parallel.threads import ThreadBackend
+from repro.parallel.backend import ParallelBackend, SerialBackend, resolve_backend
 
-__all__ = [
-    "ExecutionBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "ParallelBackend",
-    "resolve_backend",
-    "auto_backend",
-    "available_cpus",
-    "BACKEND_NAMES",
-    "REPRO_BACKEND_ENV",
-]
+__all__ = ["SerialBackend", "ParallelBackend", "resolve_backend"]

@@ -1,12 +1,12 @@
-"""Shared-memory array plumbing for the process-parallel backend.
+"""Shared-memory array plumbing for the batched-staleness worker pool.
 
-The parallel backend moves the per-iteration arrays (``phi``, ``traffic``,
-``dadf``, the next iterate) between the master and
-its worker processes through :mod:`multiprocessing.shared_memory` blocks that
-are created **once** per backend lifetime.  Per iteration the only data that
-crosses the pickle boundary is a few-byte task descriptor (phase name, shard
-bounds, the step scale); every array read and write is a plain memcpy-free
-NumPy view into the shared blocks.
+The pool moves the per-batch arrays (``phi``, ``traffic``, ``dadf``)
+between the master and its worker processes through
+:mod:`multiprocessing.shared_memory` blocks that are created **once** per
+backend lifetime.  Per batch the only data that crosses the pickle boundary
+is a few-byte task descriptor (phase name, shard bounds, the step scale);
+every array read and write is a plain memcpy-free NumPy view into the
+shared blocks.
 
 :class:`SharedArraySet` owns creation/attachment symmetry: the master calls
 :meth:`create` per array and ships ``specs`` (name -> (shm name, shape,

@@ -1,38 +1,27 @@
-"""Worker-process side of the process-parallel gradient backend.
+"""Worker-process side of the batched-staleness worker pool.
 
 Each worker owns a contiguous *shard* of commodities.  The pool initializer
 receives the pickled :class:`~repro.core.transform.ExtendedNetwork` exactly
 once (the static graph arrays never cross the pickle boundary again) and
 attaches to the shared-memory arrays published by the master; after that,
-per-iteration task descriptors are a few bytes each.
+per-batch task descriptors are a few bytes each.
 
-Three task phases exist; the first two mirror the halves of a serial
-iteration, the third is the bounded-staleness batch:
-
-``forecast``
-    Solve the flow balance (eq. (3)) over the owned commodity rows and
-    write them into shared memory.  Once every shard has returned, the
-    master computes ``edge_usage``/``node_usage`` with the *same call on
-    the same bits* as the serial path, ``resource_usage``: usage sums
-    across commodities, so no shard can compute a part of it.
-
-``step``
-    Given the master-computed ``dadf`` (eq. (11)), run the marginal-cost
-    wave (eq. (9)), the edge marginals (eq. (15)), the blocked sets
-    (eq. (18)) and the update map ``Gamma`` (eqs. (14)-(17)) over the owned
-    rows, writing the new routing rows into the ``phi_next`` buffer.
+Two task phases exist:
 
 ``batch``
     Run several full iterations privately over the owned shard with the
     global ``dadf`` frozen at its dispatch value (the bounded-staleness
-    relaxed mode of ``ParallelBackend(staleness=K)``); local traffic rows
-    are re-solved every inner iteration, so only the *global* coupling is
+    mode of ``ParallelBackend(staleness=K)``); local traffic rows are
+    re-solved every inner iteration, so only the *global* coupling is
     stale, exactly as the paper's Section-5 asynchronous protocol allows.
 
-Every kernel invoked here is a :class:`~repro.core.state.ModelState`
+``refresh``
+    Advance the worker's network copy one epoch (a scalar patch or a
+    spliced successor), then rendezvous with every sibling.
+
+Every kernel a batch runs is a :class:`~repro.core.state.ModelState`
 row-block kernel: the serial engine's own sweeps restricted to the shard's
-contiguous rows, which is what makes the parallel iterates bit-identical
-to serial ones.
+contiguous rows.
 """
 
 from __future__ import annotations
@@ -50,7 +39,10 @@ from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork
 from repro.parallel.shm import ArraySpec, attach_arrays
 
-__all__ = ["init_worker", "run_shard"]
+__all__ = ["FAULT_PHASES", "init_worker", "run_shard"]
+
+# the phases ``ParallelBackend(inject_fault=...)`` can make every worker fail
+FAULT_PHASES = ("batch", "refresh")
 
 # Process-global worker state, set once by the pool initializer.
 _EXT: Optional[ExtendedNetwork] = None
@@ -58,8 +50,8 @@ _ARRAYS: Dict[str, np.ndarray] = {}
 _BLOCKS: List[Any] = []
 _FAULT: Optional[str] = None
 _BARRIER: Optional[Any] = None
-# private per-worker scratch for the step/batch bodies, keyed by shape so
-# structural refreshes reallocate lazily
+# private per-worker scratch for the batch body, keyed by name and
+# reallocated when a structural refresh changes its shape
 _SCRATCH: Dict[str, np.ndarray] = {}
 
 # A refresh task must reach *every* worker exactly once; workers that
@@ -138,81 +130,6 @@ def _scratch(name: str, shape: Tuple[int, ...], dtype=float) -> np.ndarray:
     return array
 
 
-def _forecast_shard(lo: int, hi: int) -> Dict[str, float]:
-    assert _EXT is not None, "worker used before init_worker ran"
-    ext = _EXT
-    phi = _ARRAYS["phi"]
-    traffic = _ARRAYS["traffic"]
-    start = time.perf_counter()
-    traffic[lo:hi] = external_inputs_rows(ext, lo, hi)
-    ModelState.of(ext).solve_traffic_block(
-        traffic.reshape(-1), phi.reshape(-1), lo, hi
-    )
-    return {"flow_solve": time.perf_counter() - start}
-
-
-def _step_shard(
-    lo: int, hi: int, eta: float, use_blocking: bool, traffic_tol: float
-) -> Dict[str, float]:
-    """Step body: row-block kernels over the shared state.
-
-    ``dadr``/``delta``/``blocked`` live in private per-worker scratch (only
-    this shard's rows are ever written or read), while ``phi``/``phi_next``/
-    ``traffic`` stay in shared memory.
-    """
-    assert _EXT is not None, "worker used before init_worker ran"
-    ext = _EXT
-    state = ModelState.of(ext)
-    phi = _ARRAYS["phi"]
-    phi_next = _ARRAYS["phi_next"]
-    phi_flat = phi.reshape(-1)
-    t_flat = _ARRAYS["traffic"].reshape(-1)
-    dadf = _ARRAYS["dadf"]
-    shape_jv = (ext.num_commodities, ext.num_nodes)
-    shape_je = (ext.num_commodities, ext.num_edges)
-    dadr = _scratch("dadr", shape_jv)
-    delta = _scratch("delta", shape_je)
-    timings = {"marginals": 0.0, "blocking": 0.0, "gamma": 0.0}
-    start = time.perf_counter()
-    dadr[lo:hi] = 0.0
-    state.marginal_costs_block(dadr.reshape(-1), phi_flat, dadf, lo, hi)
-    delta[lo:hi] = 0.0
-    state.edge_marginals_block(delta.reshape(-1), dadf, dadr.reshape(-1), lo, hi)
-    timings["marginals"] = time.perf_counter() - start
-    blocked_flat: Optional[np.ndarray] = None
-    if use_blocking:
-        start = time.perf_counter()
-        blocked = _scratch("blocked", shape_je, dtype=bool)
-        blocked[lo:hi] = False
-        if state.blocked_sets_block(
-            blocked.reshape(-1),
-            phi_flat,
-            t_flat,
-            dadr.reshape(-1),
-            delta.reshape(-1),
-            eta,
-            lo,
-            hi,
-        ):
-            blocked_flat = blocked.reshape(-1)
-        timings["blocking"] = time.perf_counter() - start
-    start = time.perf_counter()
-    phi_next[lo:hi] = phi[lo:hi]
-    plan = state.block(lo, hi).gamma_plan
-    if plan is not None:
-        apply_gamma_batch(
-            phi_next.reshape(-1),
-            plan,
-            t_flat,
-            delta.reshape(-1),
-            blocked_flat,
-            eta,
-            traffic_tol,
-        )
-    timings["gamma"] = time.perf_counter() - start
-    return timings
-
-
 def _batch_shard(
     lo: int,
     hi: int,
@@ -273,7 +190,6 @@ def _batch_shard(
             )
         traffic[lo:hi] = external_inputs_rows(ext, lo, hi)
         state.solve_traffic_block(t_flat, phi_flat, lo, hi)
-    _ARRAYS["phi_next"][lo:hi] = phi[lo:hi]
     return {"batch": time.perf_counter() - start}
 
 
@@ -287,11 +203,6 @@ def run_shard(phase: str, lo: int, hi: int, *args: Any) -> Tuple[int, Dict[str, 
         raise RuntimeError(
             f"injected worker fault during {phase!r} (test hook)"
         )
-    if phase == "forecast":
-        return lo, _forecast_shard(lo, hi)
-    if phase == "step":
-        eta, use_blocking, traffic_tol = args
-        return lo, _step_shard(lo, hi, eta, use_blocking, traffic_tol)
     if phase == "batch":
         iterations, eta, use_blocking, traffic_tol = args
         return lo, _batch_shard(lo, hi, iterations, eta, use_blocking, traffic_tol)

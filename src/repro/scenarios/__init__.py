@@ -1,7 +1,6 @@
 """Declarative workload construction: topologies, traces, failures, specs.
 
-This package unifies what used to be scattered across five
-``repro.workloads`` modules (now deprecated shims) behind one abstraction:
+This package puts workload construction behind one abstraction:
 
 * :class:`ScenarioSpec` -- a frozen ``topology + demand + failures +
   placement + seed`` description that :meth:`~ScenarioSpec.compile`\\ s to

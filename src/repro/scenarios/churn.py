@@ -14,9 +14,6 @@ hypothesis strategy (:func:`repro.validate.strategies.event_sequences`), the
 delta-vs-full-rebuild benchmark (``benchmarks/bench_churn.py``), and the
 ``churn`` demand kind of :class:`repro.scenarios.ScenarioSpec`.
 Everything is deterministic given ``(spec, seed)``.
-
-(Moved here from ``repro.workloads.churn``, which remains as a deprecated
-shim for one release.)
 """
 
 from __future__ import annotations

@@ -11,9 +11,6 @@ These controlled-shape workloads drive the ablation experiments:
 * :func:`diamond_network` -- the smallest network with a genuine routing
   choice (two disjoint middle paths); used throughout the unit tests because
   its optimum is computable by hand.
-
-(Moved here from ``repro.workloads.layered``, which remains as a
-deprecated shim for one release.)
 """
 
 from __future__ import annotations

@@ -1,8 +1,5 @@
 """Named end-to-end paper instances.
 
-(Moved here from ``repro.workloads.scenarios``, which remains as a
-deprecated shim for one release.)
-
 * :func:`figure1_network` -- the paper's running example (Figure 1): 8
   servers, two streams with overlapping placements on servers 3 and 5.
 * :func:`sensor_fusion_network` -- an environmental-monitoring workload from

@@ -18,9 +18,6 @@ U[10, 50]; large enough that capacities bind and admission control is
 active.  Both choices are recorded in DESIGN.md/EXPERIMENTS.md.
 
 All generation is deterministic given ``seed``.
-
-(Moved here from ``repro.workloads.random_network``, which remains as a
-deprecated shim for one release.)
 """
 
 from __future__ import annotations

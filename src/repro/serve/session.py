@@ -1,7 +1,9 @@
 """The live model a serve daemon owns: epochs in, snapshots out.
 
-:class:`ServeSession` wraps the delta core (:mod:`repro.core.delta`), a warm
-execution backend (:mod:`repro.parallel`), and the invariant checker
+:class:`ServeSession` wraps the delta core (:mod:`repro.core.delta`), an
+execution backend (:mod:`repro.parallel`: the serial engine, or with
+``workers``/``staleness`` the batched-staleness pool, which runs the
+warm-up and every refine), and the invariant checker
 (:mod:`repro.validate`) into the publish loop the daemon drives:
 
 1. a drained batch of online events is applied through
@@ -10,7 +12,7 @@ execution backend (:mod:`repro.parallel`), and the invariant checker
    each -- with routing carried across every epoch
    (:func:`~repro.core.delta.carry_routing`), one ``emergency_shed`` per
    drained batch (mid-batch routing is never read), and the backend
-   refreshed in place, so the worker pool survives,
+   refreshed in place, so a worker pool survives,
 2. the gradient engine *refines* the carried state for a bounded number of
    iterations (the background re-optimisation -- warm starts mean a few
    iterations recover most of the utility, see docs/online.md),
@@ -139,10 +141,7 @@ class ServeSession:
         self.ext = build_extended_network(network)
         from repro.parallel.backend import resolve_backend
 
-        self.backend = resolve_backend(
-            backend, workers, ext=self.ext, staleness=staleness,
-            instrumentation=inst,
-        )
+        self.backend = resolve_backend(backend, workers, staleness=staleness)
         self._owns_backend = self.backend is not backend
         self.algo = GradientAlgorithm(self.ext, self.config, backend=self.backend)
         self.routing = initial_routing(self.ext)

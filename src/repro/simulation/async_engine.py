@@ -15,10 +15,10 @@ exactly that claim:
   view is *fresh enough* under the **bounded-staleness rule**: node ``i``
   at local epoch ``e`` may run a local iteration once every downstream
   marginal report and every upstream forecast carries an epoch stamp
-  ``>= max(0, e - staleness)``.  This is the same contract the PR 6
-  process backend validates (``staleness=K`` batched dispatch, drift
-  gated at :data:`repro.validate.STALENESS_DRIFT_RTOL`), executed here at
-  per-message granularity.  A local iteration recomputes eq. (15)'s
+  ``>= max(0, e - staleness)``.  This is the same contract the worker
+  pool's bounded-staleness batches carry (``ParallelBackend(staleness=K)``,
+  drift gated at :data:`repro.validate.STALENESS_DRIFT_RTOL`), executed
+  here at per-message granularity.  A local iteration recomputes eq. (15)'s
   per-edge marginals and eqs. (9)-(11)'s node marginal from the stale
   view, applies the *same* node-local ``Gamma`` kernel as every other
   engine (:func:`repro.core.gradient.apply_gamma_at_node`), refreshes

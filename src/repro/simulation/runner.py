@@ -78,7 +78,7 @@ class DistributedGradientRun:
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
         # the protocol itself runs in the agents; the backend only evaluates
-        # the per-record cost snapshots (a parallel one shards that flow solve)
+        # the per-record cost snapshots
         if backend is None:
             from repro.parallel.backend import SerialBackend
 

@@ -1,5 +1,5 @@
 """In-house convex-optimisation substrate (no external solver dependencies
-beyond scipy's LP): simplex projection, projected gradient, Frank-Wolfe."""
+beyond scipy's LP): Frank-Wolfe over a polytope."""
 
 from repro.solver.frankwolfe import (
     FrankWolfeResult,
@@ -7,26 +7,10 @@ from repro.solver.frankwolfe import (
     feasible_point,
     frank_wolfe,
 )
-from repro.solver.linesearch import armijo_step
-from repro.solver.projgrad import (
-    BlockSimplexProblem,
-    ProjectedGradientResult,
-    projected_gradient,
-)
-from repro.solver.simplex_projection import (
-    project_rows_to_simplex,
-    project_to_simplex,
-)
 
 __all__ = [
     "FrankWolfeResult",
     "Polytope",
     "feasible_point",
     "frank_wolfe",
-    "armijo_step",
-    "BlockSimplexProblem",
-    "ProjectedGradientResult",
-    "projected_gradient",
-    "project_rows_to_simplex",
-    "project_to_simplex",
 ]

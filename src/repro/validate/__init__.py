@@ -8,8 +8,9 @@ numbers instead of vibes:
   capacity, admission, dummy-link accounting, monotonicity, and a
   duality-gap optimality certificate) and returns a structured
   :class:`ValidationReport`;
-* :class:`DifferentialOracle` runs two algorithms -- or serial vs parallel
-  backends -- on the same workload and diffs the outcomes under tolerances;
+* :class:`DifferentialOracle` runs two algorithms -- or the engine against
+  the scalar reference walks -- on the same workload and diffs the
+  outcomes under tolerances;
 * :mod:`repro.validate.faults` injects known faults and asserts the checker
   catches each one (the ``repro validate --self-test`` CLI);
 * :mod:`repro.validate.strategies` is the shared generator layer for the

@@ -3,17 +3,17 @@
 The highest-leverage guard for perf work on this codebase is not a unit
 test but a *differential* one: run two algorithms (or the same algorithm
 on two execution backends) on the same instance and compare admitted
-rates, flows, and final utility.  Two comparison regimes:
+rates, flows, and final utility.  Three comparison regimes:
 
 * **cross-algorithm** (gradient vs the centralized LP / Frank-Wolfe
   optimum, or vs back-pressure): utilities must agree within a relative
   tolerance.  Admitted rates and flows are reported but not enforced by
   default -- optima can be degenerate, so different solvers legitimately
   reach the same utility through different rates.
-* **cross-backend** (serial vs ``workers=N``): the parallel backend's
-  contract is *bit-identity* (docs/parallelism.md), so
-  :meth:`DifferentialOracle.compare_backends` requires exact equality of
-  the routing matrix, the admitted rates, and every recorded utility.
+* **drift-gated** (serial vs the batched-staleness pool, or vs the
+  barrier-free async engine): :meth:`DifferentialOracle.compare` with
+  ``utility_rtol=STALENESS_DRIFT_RTOL``, or
+  :meth:`DifferentialOracle.compare_async`.
 * **engine vs reference** (:meth:`DifferentialOracle.compare_reference`):
   the :class:`~repro.core.state.ModelState` engine's ``step`` and the
   paper-literal scalar ``step_reference`` advance in lockstep and must
@@ -47,16 +47,16 @@ __all__ = [
     "DifferentialOracle",
 ]
 
-# The documented drift bound of the process backend's bounded-staleness
-# batched dispatch (``staleness > 0``): the relaxed run's final utility must
-# stay within this relative tolerance of the synchronous serial run on the
-# same instance.  Small staleness only delays the global ``dadf`` by a few
-# iterations -- well inside the tolerance the paper's Section-5 asynchronous
-# protocol grants -- so drift stays a fraction of the eps-barrier headroom
-# (see docs/parallelism.md and benchmarks/bench_stale_marginals.py for the
-# measurements behind the number).  Use
-# ``DifferentialOracle(utility_rtol=STALENESS_DRIFT_RTOL).compare(...)``;
-# ``compare_backends`` stays reserved for the bit-identity contract.
+# The documented drift bound of the worker pool's bounded-staleness batches
+# (``ParallelBackend(staleness=K)``) and of the barrier-free async engine:
+# the relaxed run's final utility must stay within this relative tolerance
+# of the serial run on the same instance.  Small staleness only delays the
+# global ``dadf`` by a few iterations -- well inside the tolerance the
+# paper's Section-5 asynchronous protocol grants -- so drift stays a
+# fraction of the eps-barrier headroom (see docs/parallelism.md and
+# benchmarks/bench_stale_marginals.py for the measurements behind the
+# number).  Use
+# ``DifferentialOracle(utility_rtol=STALENESS_DRIFT_RTOL).compare(...)``.
 STALENESS_DRIFT_RTOL = 0.02
 
 
@@ -73,10 +73,8 @@ class AlgorithmSpec:
     """One side of a differential comparison: method + config + backend.
 
     ``workers``/``backend``/``staleness`` are forwarded verbatim to
-    :func:`repro.solve`, so a spec can pin any execution backend: the
-    process pool (``workers=N``), the thread pool (``backend="thread"``),
-    auto-selection (``workers="auto"``), or the relaxed batched mode
-    (``staleness=K``).
+    :func:`repro.solve`, so a spec can pin the batched-staleness pool
+    (``workers=N, staleness=K``) or a borrowed backend instance.
     """
 
     method: str = "gradient"
@@ -346,40 +344,6 @@ class DifferentialOracle:
             validation_passed=validation_passed,
         )
 
-    def compare_backends(
-        self,
-        stream_network,
-        workers: Any = 2,
-        method: str = "gradient",
-        config: Any = None,
-        validate: Any = False,
-        backend: Any = None,
-    ) -> OracleReport:
-        """Serial vs a parallel backend on the same workload: must be bit-equal.
-
-        This is the oracle form of the determinism contract in
-        docs/parallelism.md -- the report fails unless the full routing
-        matrix, the admitted rates, and every recorded utility agree
-        exactly across backends.  ``backend`` picks the parallel side
-        (default: the historical process pool; pass ``"thread"`` for the
-        zero-copy thread backend).  The bit-identity requirement covers
-        only synchronous schedules: for ``staleness > 0`` runs use
-        :meth:`compare` with ``utility_rtol=STALENESS_DRIFT_RTOL`` instead.
-        """
-        spec_a = AlgorithmSpec(
-            method=method, config=config, label=f"{method}[serial]"
-        )
-        spec_b = AlgorithmSpec(
-            method=method, config=config, workers=workers, backend=backend
-        )
-        return self.compare(
-            stream_network,
-            spec_a,
-            spec_b,
-            validate=validate,
-            require_bit_identical=True,
-        )
-
     def compare_reference(
         self,
         stream_network,
@@ -474,8 +438,8 @@ class DifferentialOracle:
         inject faults (``faults``/``links``/``seed``/``fault_until_tick``
         are forwarded to its :class:`~repro.simulation.FaultyChannel`).
         The enforced bound defaults to :data:`STALENESS_DRIFT_RTOL` -- the
-        same contract the process backend's bounded-staleness mode
-        carries, which is exactly the relaxation the async freshness rule
+        same contract the worker pool's bounded-staleness batches carry,
+        which is exactly the relaxation the async freshness rule
         re-implements at per-message granularity.
         """
         from dataclasses import replace as dc_replace

@@ -177,52 +177,11 @@ class TestSolve:
         )
         assert code == 0
 
-    def test_workers_flag_matches_serial(self, model_path, capsys):
-        """--workers shards the iteration across processes; the solution must
-        be bit-identical to the serial run (the backend's core contract)."""
-        assert (
-            main(["solve", str(model_path), "--max-iterations", "60", "--json"])
-            == 0
-        )
-        serial = json.loads(capsys.readouterr().out)
-        assert (
-            main(
-                [
-                    "solve",
-                    str(model_path),
-                    "--max-iterations",
-                    "60",
-                    "--workers",
-                    "2",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        parallel = json.loads(capsys.readouterr().out)
-        assert parallel["final_utility"] == serial["final_utility"]
-        assert parallel["solution"]["admitted"] == serial["solution"]["admitted"]
-        assert parallel["trajectory"] == serial["trajectory"]
-
     def test_workers_rejected_for_optimal(self, model_path):
         with pytest.raises(TypeError, match="workers"):
             main(
                 ["solve", str(model_path), "--method", "optimal", "--workers", "2"]
             )
-
-    def test_eta_alias_warns(self, model_path, capsys):
-        with pytest.warns(DeprecationWarning, match="--step-size"):
-            code = main(
-                [
-                    "solve",
-                    str(model_path),
-                    "--eta",
-                    "0.05",
-                    "--max-iterations",
-                    "50",
-                ]
-            )
-        assert code == 0
 
 
 class TestProfile:

@@ -2,8 +2,8 @@
 
 The contract under test: applying a compiled delta is **bit-identical** to
 rebuilding the extended network from scratch (down to every vectorization
-plan), epochs advance by exactly one per event, and the parallel backend
-survives an epoch refresh without recreating its worker pool.
+plan), epochs advance by exactly one per event, and the worker pool
+survives an epoch refresh without restarting a worker.
 """
 
 from __future__ import annotations
@@ -216,6 +216,8 @@ class TestPoolSurvival:
     """Acceptance bar: an event does not tear down the worker pool."""
 
     def test_refresh_keeps_pool_and_matches_serial(self):
+        """A refreshed pool computes the batches a pool bound fresh to the
+        new epoch computes, bit for bit, without restarting a worker."""
         net = churn_network(num_nodes=20, num_commodities=3, seed=5)
         events = [
             DemandChange(1, commodity=net.commodities[0].name, new_rate=25.0),
@@ -223,36 +225,25 @@ class TestPoolSurvival:
             CommodityDeparture(3, commodity=net.commodities[2].name),
         ]
         config = GradientConfig(eta=0.02)
-        ext_p = build_extended_network(net)
-        ext_s = build_extended_network(net)
-        with ParallelBackend(workers=2) as backend:
-            algo_p = GradientAlgorithm(ext_p, config, backend=backend)
-            algo_s = GradientAlgorithm(ext_s, config)
-            rp, rs = initial_routing(ext_p), initial_routing(ext_s)
-            for _ in range(3):  # force the pool to start
-                rp, rs = algo_p.step(rp), algo_s.step(rs)
+        ext = build_extended_network(net)
+        with ParallelBackend(workers=2, staleness=4) as backend:
+            algo = GradientAlgorithm(ext, config, backend=backend)
+            routing, _ = backend.advance(initial_routing(ext), None, 5)
             pool = backend._pool
             assert pool is not None
             pids = {p.pid for p in pool._processes.values()}
-            scalar_specs = dict(backend._shm.specs)
 
             for event in events:
-                delta_p = compile_event(ext_p, event)
-                applied_p = apply_delta(ext_p, delta_p)
-                rp = carry_routing(ext_p, rp, applied_p.ext, applied_p.maps)
-                algo_p.refresh(applied_p)
-                ext_p = applied_p.ext
+                applied = apply_delta(ext, compile_event(ext, event))
+                routing = carry_routing(ext, routing, applied.ext, applied.maps)
+                algo.refresh(applied)
+                ext = applied.ext
 
-                delta_s = compile_event(ext_s, event)
-                applied_s = apply_delta(ext_s, delta_s)
-                rs = carry_routing(ext_s, rs, applied_s.ext, applied_s.maps)
-                algo_s.refresh(applied_s)
-                ext_s = applied_s.ext
-
-                for _ in range(2):
-                    rp, rs = algo_p.step(rp), algo_s.step(rs)
-                # parallel iterates stay bit-identical to serial across epochs
-                np.testing.assert_array_equal(rp.phi, rs.phi)
+                with ParallelBackend(workers=2, staleness=4) as fresh:
+                    fresh.bind(ext, config)
+                    want, _ = fresh.advance(routing, None, 5)
+                routing, _ = backend.advance(routing, None, 5)
+                np.testing.assert_array_equal(routing.phi, want.phi)
 
                 assert backend._pool is pool  # never torn down
                 assert {p.pid for p in pool._processes.values()} == pids
@@ -260,9 +251,9 @@ class TestPoolSurvival:
     def test_scalar_refresh_republishes_no_segments(self):
         net = churn_network(num_nodes=20, num_commodities=3, seed=5)
         ext = build_extended_network(net)
-        with ParallelBackend(workers=2) as backend:
+        with ParallelBackend(workers=2, staleness=4) as backend:
             algo = GradientAlgorithm(ext, GradientConfig(eta=0.02), backend=backend)
-            routing = algo.step(initial_routing(ext))
+            routing, _ = backend.advance(initial_routing(ext), None, 5)
             specs_before = dict(backend._shm.specs)
             delta = compile_event(
                 ext, DemandChange(1, commodity=net.commodities[0].name,
@@ -272,7 +263,8 @@ class TestPoolSurvival:
             algo.refresh(applied)
             # a scalar epoch ships a few-byte patch: every shm block survives
             assert dict(backend._shm.specs) == specs_before
-            algo.step(routing)  # and the pool still computes on the new epoch
+            # and the pool still computes on the new epoch
+            backend.advance(routing, None, 5)
 
 
 class TestRebuildErrorHandling:

@@ -20,8 +20,8 @@ class TestRoundTrip:
             method="gradient",
             config=GradientConfig(max_iterations=50),
             workers=2,
-            backend="thread",
-            staleness=None,
+            backend=None,
+            staleness=4,
             validate="strict",
             full_result=True,
         )
@@ -37,9 +37,9 @@ class TestRoundTrip:
 
     def test_replace_is_frozen_safe(self):
         opts = SolveOptions(workers=2)
-        other = opts.replace(workers=4, backend="thread")
+        other = opts.replace(workers=4, staleness=2)
         assert opts.workers == 2
-        assert other.workers == 4 and other.backend == "thread"
+        assert other.workers == 4 and other.staleness == 2
         with pytest.raises(Exception):
             opts.workers = 8  # frozen
 
@@ -85,7 +85,15 @@ class TestOrchestratorOptions:
     def test_options_conflicts_with_aliases(self, fig4_network):
         opts = SolveOptions(config=GradientConfig(max_iterations=10))
         with pytest.raises(ModelError, match="not both"):
-            OnlineOrchestrator(fig4_network, [], options=opts, workers=2)
+            OnlineOrchestrator(
+                fig4_network, [], options=opts, config=GradientConfig()
+            )
+
+    def test_workers_rejected(self, fig4_network):
+        """The orchestrator steps one iteration at a time, so a worker pool,
+        which only runs multi-iteration batches, would never start."""
+        with pytest.raises(ModelError, match="pool"):
+            OnlineOrchestrator(fig4_network, [], options=SolveOptions(workers=2))
 
     def test_non_gradient_options_rejected(self, fig4_network):
         with pytest.raises(ModelError, match="gradient"):

@@ -1,11 +1,13 @@
-"""Tests for the process-parallel execution backend (:mod:`repro.parallel`).
+"""Tests for the execution backends (:mod:`repro.parallel`).
 
-The contract under test is strict: a :class:`ParallelBackend` must produce
-**bit-identical** iterates to the serial engine -- not "close", equal -- for
-any worker count, must not change the flow-solve count (the instrumentation
-invariance the serial engine already pins), and must surface worker crashes
-as a clean :class:`repro.exceptions.ParallelExecutionError` instead of a
-hang or a wedged pool.
+Two backends exist.  :class:`SerialBackend` is the engine.
+:class:`ParallelBackend` inherits its ``build_context`` and ``step`` and
+adds a worker pool that runs only bounded-staleness batches through
+``advance`` (and epoch refreshes).  The batched iterates drift from serial
+within ``STALENESS_DRIFT_RTOL``, must not depend on how commodities are
+sharded, must keep one flow solve per iteration, and must surface worker
+crashes as a clean :class:`repro.exceptions.ParallelExecutionError`
+instead of a hang or a wedged pool.
 """
 
 from __future__ import annotations
@@ -25,18 +27,15 @@ from repro import (
     build_extended_network,
     solve,
 )
-from repro.core.routing import initial_routing, solve_traffic
-from repro.parallel import (
-    ParallelBackend,
-    SerialBackend,
-    ThreadBackend,
-    resolve_backend,
-)
-from repro.parallel.backend import REPRO_BACKEND_ENV, _split_shards
+from repro.core.delta import apply_delta, compile_event
+from repro.core.routing import initial_routing
+from repro.online.events import DemandChange
+from repro.parallel import ParallelBackend, SerialBackend, resolve_backend
+from repro.parallel.backend import _split_shards
 from repro.scenarios import random_stream_network, scenario
 from repro.scenarios import RandomNetworkSpec
 
-ITERATIONS = 25
+STALENESS = 4
 
 
 def _random_ext(seed: int, num_nodes: int = 18, num_commodities: int = 3):
@@ -49,123 +48,76 @@ def _random_ext(seed: int, num_nodes: int = 18, num_commodities: int = 3):
     return build_extended_network(random_stream_network(spec, seed=seed))
 
 
-def _trajectory(ext, config, backend=None, iterations=ITERATIONS):
-    """The full phi trajectory of a run (every iterate, not just records)."""
-    algo = GradientAlgorithm(ext, config, backend=backend)
-    routing = initial_routing(ext)
-    states = [routing.phi.copy()]
-    context = algo.compute_context(routing)
-    for _ in range(iterations):
-        routing = algo.step(routing, context=context)
+def _batched(backend, ext, config, chunks=4, chunk=5):
+    """The phi after each ``advance(chunk)`` call from the initial routing."""
+    backend.bind(ext, config)
+    routing, context = initial_routing(ext), None
+    states = []
+    for _ in range(chunks):
+        routing, context = backend.advance(routing, context, chunk)
         states.append(routing.phi.copy())
-        context = algo.compute_context(routing)
     return states
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_trajectory_bit_identical_to_serial(self, workers, seed):
-        ext = _random_ext(seed)
-        config = GradientConfig(eta=0.04)
-        serial = _trajectory(ext, config)
-        with ParallelBackend(workers=workers) as backend:
-            parallel = _trajectory(ext, config, backend=backend)
-        assert len(serial) == len(parallel)
-        for iteration, (a, b) in enumerate(zip(serial, parallel)):
-            assert np.array_equal(a, b), f"phi diverged at iteration {iteration}"
-
-    @pytest.mark.parametrize("make_backend", [ThreadBackend, ParallelBackend])
+    @pytest.mark.parametrize("make_backend", [ParallelBackend])
     def test_edge_shared_by_three_commodities_across_shards(self, make_backend):
         """Regression: fat-tree-16's edges 52-59 carry commodities 1, 3 and
         5, which three workers put in shards 0, 1 and 1.  Adding per-shard
-        usage partials summed ``c1 + (c3 + c5)`` where serial sums
-        ``(c1 + c3) + c5``; phi diverged at iteration 39."""
+        usage partials summed ``c1 + (c3 + c5)`` where one shard sums
+        ``(c1 + c3) + c5``.  The master's usage call keeps the batched
+        iterates independent of the sharding, bit for bit."""
         spec = scenario("fat-tree-16")
         ext = build_extended_network(spec.topology.build(spec.seed))
         config = GradientConfig()
-        serial = _trajectory(ext, config, iterations=100)
-        with make_backend(workers=3) as backend:
-            sharded = _trajectory(ext, config, backend=backend, iterations=100)
-        for iteration, (a, b) in enumerate(zip(serial, sharded)):
-            assert np.array_equal(a, b), f"phi diverged at iteration {iteration}"
+        with make_backend(workers=1, staleness=STALENESS) as one:
+            unsharded = _batched(one, ext, config, chunks=10, chunk=10)
+        with make_backend(workers=3, staleness=STALENESS) as three:
+            sharded = _batched(three, ext, config, chunks=10, chunk=10)
+            assert three._pool_size == 3
+        for chunk, (a, b) in enumerate(zip(unsharded, sharded)):
+            assert np.array_equal(a, b), f"phi diverged in chunk {chunk}"
 
-    def test_run_loop_bit_identical(self):
-        ext = _random_ext(seed=5)
-        config = GradientConfig(eta=0.04, max_iterations=40, record_every=5)
-        r_serial = GradientAlgorithm(ext, config).run()
-        with ParallelBackend(workers=2) as backend:
-            r_parallel = GradientAlgorithm(ext, config, backend=backend).run()
-        assert r_serial.iterations == r_parallel.iterations
-        assert r_serial.converged == r_parallel.converged
-        assert [h.cost for h in r_serial.history] == [
-            h.cost for h in r_parallel.history
-        ]
-        assert np.array_equal(
-            r_serial.solution.routing.phi, r_parallel.solution.routing.phi
-        )
-        assert r_serial.solution.utility == r_parallel.solution.utility
-
-    def test_no_blocking_config(self):
-        ext = _random_ext(seed=9)
-        config = GradientConfig(eta=0.04, use_blocking=False)
-        serial = _trajectory(ext, config, iterations=10)
-        with ParallelBackend(workers=2) as backend:
-            parallel = _trajectory(ext, config, backend=backend, iterations=10)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a, b)
-
-    def test_single_commodity_more_workers_than_commodities(self):
-        ext = _random_ext(seed=2, num_nodes=12, num_commodities=1)
-        config = GradientConfig(eta=0.04)
-        serial = _trajectory(ext, config, iterations=10)
-        with ParallelBackend(workers=4) as backend:
-            parallel = _trajectory(ext, config, backend=backend, iterations=10)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a, b)
-
-    def test_parallel_context_matches_serial_flow_solve(self):
+    def test_build_context_and_step_are_serial(self):
+        """The pool runs only batches: the inherited serial halves of an
+        iteration never start it and compute the serial engine's bits."""
         ext = _random_ext(seed=13)
         config = GradientConfig(eta=0.04)
         routing = initial_routing(ext)
-        serial_ctx = GradientAlgorithm(ext, config).compute_context(routing)
-        with ParallelBackend(workers=2) as backend:
+        serial = SerialBackend()
+        serial.bind(ext, config)
+        with ParallelBackend(workers=2, staleness=STALENESS) as backend:
             backend.bind(ext, config)
-            parallel_ctx = backend.build_context(routing)
-        assert np.array_equal(serial_ctx.traffic, parallel_ctx.traffic)
-        assert np.array_equal(serial_ctx.edge_usage, parallel_ctx.edge_usage)
-        assert np.array_equal(serial_ctx.node_usage, parallel_ctx.node_usage)
-        assert np.array_equal(serial_ctx.dadf, parallel_ctx.dadf)
-        assert serial_ctx.cost == parallel_ctx.cost
+            context = backend.build_context(routing)
+            stepped = backend.step(routing, context=context)
+            assert backend._pool is None
+        expected_context = serial.build_context(routing)
+        expected = serial.step(routing, context=expected_context)
+        assert np.array_equal(context.traffic, expected_context.traffic)
+        assert np.array_equal(context.dadf, expected_context.dadf)
+        assert np.array_equal(stepped.phi, expected.phi)
+
+    def test_step_on_batch_context_matches_fresh_context(self):
+        """A batch-final context carries no dadr/delta; a step on it derives
+        them without a flow solve and computes the same bits as a step on
+        a freshly built context."""
+        ext = _random_ext(seed=5)
+        config = GradientConfig(eta=0.04)
+        with ParallelBackend(workers=2, staleness=STALENESS) as backend:
+            backend.bind(ext, config)
+            routing, context = backend.advance(initial_routing(ext), None, 5)
+            assert context.delta is None
+            inst = Instrumentation()
+            from_batch = backend.step(routing, context=context, instrumentation=inst)
+            assert inst.registry.as_dict()["counters"].get("flow_solves", 0) == 0
+            fresh = backend.build_context(routing)
+            from_fresh = backend.step(routing, context=fresh)
+        assert np.array_equal(context.traffic, fresh.traffic)
+        assert np.array_equal(context.dadf, fresh.dadf)
+        assert np.array_equal(from_batch.phi, from_fresh.phi)
 
 
 class TestSolveIntegration:
-    def test_solve_workers_bit_identical(self):
-        net = random_stream_network(
-            RandomNetworkSpec(num_nodes=16, num_commodities=2), seed=4
-        )
-        config = GradientConfig(eta=0.04, max_iterations=30)
-        s_serial = solve(net, config=config)
-        s_parallel = solve(net, config=config, workers=2)
-        assert np.array_equal(s_serial.routing.phi, s_parallel.routing.phi)
-        assert s_serial.utility == s_parallel.utility
-
-    def test_solve_distributed_workers(self):
-        net = random_stream_network(
-            RandomNetworkSpec(num_nodes=14, num_commodities=2), seed=6
-        )
-        config = GradientConfig(eta=0.04, max_iterations=5)
-        r_serial = solve(net, method="distributed", config=config, full_result=True)
-        r_parallel = solve(
-            net, method="distributed", config=config, full_result=True, workers=2
-        )
-        assert np.array_equal(
-            r_serial.solution.routing.phi, r_parallel.solution.routing.phi
-        )
-        assert [h.cost for h in r_serial.history] == [
-            h.cost for h in r_parallel.history
-        ]
-
     @pytest.mark.parametrize("method", ["optimal", "backpressure"])
     def test_solve_rejects_workers_for_other_methods(self, method):
         net = random_stream_network(
@@ -174,19 +126,38 @@ class TestSolveIntegration:
         with pytest.raises(TypeError, match="workers"):
             solve(net, method=method, workers=2)
 
+    def test_solve_workers_needs_staleness(self):
+        """The pool runs only batches, so a pool without staleness and the
+        retired backend names are errors, not silent fallbacks."""
+        net = random_stream_network(
+            RandomNetworkSpec(num_nodes=14, num_commodities=2), seed=6
+        )
+        with pytest.raises(ValueError, match="staleness"):
+            solve(net, workers=2)
+        with pytest.raises(ValueError):
+            solve(net, backend="thread")
+        with pytest.raises(TypeError, match="workers"):
+            solve(net, method="distributed", workers=2, staleness=2)
+
     def test_flow_solve_counter_invariant(self):
-        """A parallel run performs exactly as many flow solves as a serial one."""
+        """A pooled run performs exactly as many flow solves as a serial one,
+        with single-iteration spans between two-iteration batches."""
         net = random_stream_network(
             RandomNetworkSpec(num_nodes=16, num_commodities=2), seed=8
         )
-        config = GradientConfig(eta=0.04, max_iterations=20)
+        config = GradientConfig(
+            eta=0.04, max_iterations=20, record_every=3, tolerance=0.0
+        )
         inst_serial, inst_parallel = Instrumentation(), Instrumentation()
         solve(net, config=config, instrumentation=inst_serial)
-        solve(net, config=config, instrumentation=inst_parallel, workers=2)
+        solve(
+            net, config=config, instrumentation=inst_parallel,
+            workers=2, staleness=1,
+        )
         serial_solves = inst_serial.registry.counter("flow_solves").value
         parallel_solves = inst_parallel.registry.counter("flow_solves").value
-        assert serial_solves == parallel_solves
-        assert serial_solves > 0
+        assert serial_solves == parallel_solves == config.max_iterations + 1
+        assert inst_parallel.registry.counter("parallel.batches").value > 0
 
     def test_per_worker_phase_timings_recorded(self):
         net = random_stream_network(
@@ -195,148 +166,118 @@ class TestSolveIntegration:
         inst = Instrumentation()
         solve(
             net,
-            config=GradientConfig(eta=0.04, max_iterations=5),
+            config=GradientConfig(eta=0.04, max_iterations=10, record_every=5),
             instrumentation=inst,
             workers=2,
+            staleness=STALENESS,
         )
         histograms = inst.registry.as_dict()["histograms"]
         for worker in (0, 1):
-            for phase in ("flow_solve", "marginals", "blocking", "gamma"):
-                assert f"phase.worker{worker}.{phase}.seconds" in histograms
+            assert f"phase.worker{worker}.batch.seconds" in histograms
+        assert "phase.parallel_batch.seconds" in histograms
+
+
+def _trigger(backend: ParallelBackend, ext, phase: str) -> None:
+    """Start the pool with a batch, then run ``phase`` on it."""
+    config = GradientConfig(eta=0.04)
+    backend.bind(ext, config)
+    backend.advance(initial_routing(ext), None, 5)
+    if phase == "refresh":
+        name = ext.stream_network.commodities[0].name
+        applied = apply_delta(ext, compile_event(ext, DemandChange(1, name, 20.0)))
+        backend.refresh(applied)
 
 
 class TestCrashSafety:
-    @pytest.mark.parametrize("phase", ["forecast", "step"])
+    @pytest.mark.parametrize("phase", ["batch", "refresh"])
     def test_worker_fault_surfaces_clean_error(self, phase):
         ext = _random_ext(seed=3)
-        config = GradientConfig(eta=0.04, max_iterations=5)
-        backend = ParallelBackend(workers=2, inject_fault=phase)
+        backend = ParallelBackend(workers=2, staleness=STALENESS, inject_fault=phase)
         try:
             with pytest.raises(ParallelExecutionError, match=phase):
-                GradientAlgorithm(ext, config, backend=backend).run()
+                _trigger(backend, ext, phase)
+            assert backend._pool is None
         finally:
             backend.close()
 
     def test_fault_tears_down_pool_and_shared_memory(self):
         ext = _random_ext(seed=3)
-        config = GradientConfig(eta=0.04, max_iterations=5)
-        backend = ParallelBackend(workers=2, inject_fault="forecast")
+        config = GradientConfig(eta=0.04, max_iterations=10, record_every=5)
+        backend = ParallelBackend(workers=2, staleness=STALENESS, inject_fault="batch")
         with pytest.raises(ParallelExecutionError):
             GradientAlgorithm(ext, config, backend=backend).run()
         assert backend._pool is None
         assert backend._shm is None
 
     def test_unbound_backend_raises(self):
-        backend = ParallelBackend(workers=2)
+        backend = ParallelBackend(workers=2, staleness=STALENESS)
         with pytest.raises(ParallelExecutionError, match="bind"):
-            backend.build_context(None)
+            backend.advance(None, None, 5)
 
 
 class TestBackendLifecycle:
     def test_close_is_idempotent_and_reusable(self):
         ext = _random_ext(seed=7)
         config = GradientConfig(eta=0.04)
-        backend = ParallelBackend(workers=2)
-        backend.bind(ext, config)
-        routing = initial_routing(ext)
-        first = backend.build_context(routing).traffic
+        backend = ParallelBackend(workers=2, staleness=STALENESS)
+        first = _batched(backend, ext, config)
         backend.close()
         backend.close()  # idempotent
+        assert backend._pool is None
         # the pool restarts lazily after close
-        again = backend.build_context(routing).traffic
-        assert np.array_equal(first, again)
+        again = _batched(backend, ext, config)
+        assert backend._pool is not None
+        for a, b in zip(first, again):
+            assert np.array_equal(a, b)
         backend.close()
 
     def test_rebind_to_new_network(self):
         config = GradientConfig(eta=0.04)
         ext_a, ext_b = _random_ext(seed=1), _random_ext(seed=2, num_nodes=14)
-        with ParallelBackend(workers=2) as backend:
-            backend.bind(ext_a, config)
-            routing_a = initial_routing(ext_a)
-            got_a = backend.build_context(routing_a).traffic
-            assert np.array_equal(got_a, solve_traffic(ext_a, routing_a))
-            backend.bind(ext_b, config)
-            routing_b = initial_routing(ext_b)
-            got_b = backend.build_context(routing_b).traffic
-            assert np.array_equal(got_b, solve_traffic(ext_b, routing_b))
+        with ParallelBackend(workers=2, staleness=STALENESS) as backend:
+            _batched(backend, ext_a, config, chunks=1)
+            pool_a = backend._pool
+            got_b = _batched(backend, ext_b, config)
+            assert backend._pool is not pool_a
+        with ParallelBackend(workers=2, staleness=STALENESS) as fresh:
+            want_b = _batched(fresh, ext_b, config)
+        for a, b in zip(got_b, want_b):
+            assert np.array_equal(a, b)
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            ParallelBackend(workers=0)
+            ParallelBackend(workers=0, staleness=STALENESS)
 
-    def test_resolve_backend(self, monkeypatch):
-        monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
+    def test_resolve_backend(self):
         assert isinstance(resolve_backend(), SerialBackend)
-        backend = resolve_backend(workers=3)
+        backend = resolve_backend(workers=3, staleness=2)
         assert isinstance(backend, ParallelBackend)
-        assert backend.workers == 3
+        assert (backend.workers, backend.staleness) == (3, 2)
         explicit = SerialBackend()
         assert resolve_backend(backend=explicit) is explicit
         with pytest.raises(ValueError):
-            resolve_backend(backend=explicit, workers=2)
+            resolve_backend(backend=explicit, workers=2, staleness=2)
+        with pytest.raises(ValueError, match="staleness"):
+            resolve_backend(workers=2)
+        with pytest.raises(ValueError, match="staleness"):
+            resolve_backend(workers=2, staleness=0)
+        with pytest.raises(ValueError):
+            resolve_backend(staleness=2)  # needs a pool
+        with pytest.raises(ValueError):
+            resolve_backend(backend="process", workers=2)
+        with pytest.raises(ValueError):
+            resolve_backend(workers="auto")
 
-    def test_resolve_backend_one_worker_is_serial(self, monkeypatch):
+    def test_resolve_backend_one_worker_is_serial(self):
         """A pool of one is pure overhead: workers=1 means the serial engine."""
-        monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
         assert isinstance(resolve_backend(workers=1), SerialBackend)
-        assert isinstance(resolve_backend(backend="thread", workers=1), SerialBackend)
-        assert isinstance(resolve_backend(backend="process", workers=1), SerialBackend)
-
-    def test_resolve_backend_names(self, monkeypatch):
-        monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
-        assert isinstance(resolve_backend(backend="serial"), SerialBackend)
-        thread = resolve_backend(backend="thread", workers=2)
-        assert isinstance(thread, ThreadBackend) and thread.workers == 2
-        process = resolve_backend(backend="process", workers=2)
-        assert isinstance(process, ParallelBackend) and process.workers == 2
-        stale = resolve_backend(workers=4, staleness=3)
-        assert isinstance(stale, ParallelBackend) and stale.staleness == 3
-        with pytest.raises(ValueError):
-            resolve_backend(backend="bogus")
-        with pytest.raises(ValueError):
-            resolve_backend(backend="serial", workers=4)
-        with pytest.raises(ValueError):
-            resolve_backend(backend="thread", workers=2, staleness=1)
-        with pytest.raises(ValueError):
-            resolve_backend(staleness=2)  # needs the process backend
-        with pytest.raises(ValueError):
-            resolve_backend(workers=2, staleness=-1)
-
-    def test_resolve_backend_auto(self, monkeypatch):
-        """Auto picks serial whenever one effective worker is all there is."""
-        monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
-        ext = _random_ext(seed=1)
-        resolved = resolve_backend(workers="auto", ext=ext)
-        # small instance (or a single-CPU host): must not pay any pool
-        from repro.parallel.backend import AUTO_THREAD_MIN_CELLS, available_cpus
-
-        cells = ext.num_commodities * (ext.num_edges + ext.num_nodes)
-        if available_cpus() == 1 or cells < AUTO_THREAD_MIN_CELLS:
-            assert isinstance(resolved, SerialBackend)
-        resolved.close()
-        # without size information auto never picks the process pool
-        if available_cpus() > 1:
-            anonymous = resolve_backend(workers="auto")
-            assert not isinstance(anonymous, ParallelBackend)
-            anonymous.close()
-
-    def test_resolve_backend_env_default(self, monkeypatch):
-        monkeypatch.setenv(REPRO_BACKEND_ENV, "thread")
-        resolved = resolve_backend()
-        assert isinstance(resolved, ThreadBackend)
-        resolved.close()
-        # explicit arguments always beat the environment
-        assert isinstance(resolve_backend(backend="serial"), SerialBackend)
-        monkeypatch.setenv(REPRO_BACKEND_ENV, "bogus")
-        with pytest.raises(ValueError):
-            resolve_backend()
+        assert isinstance(resolve_backend(workers=1, staleness=4), SerialBackend)
 
     def test_pool_clamped_to_commodity_count(self):
         """No worker process is started just to receive empty shards."""
         ext = _random_ext(seed=5, num_commodities=3)
-        with ParallelBackend(workers=8) as backend:
-            backend.bind(ext, GradientConfig(eta=0.04))
-            backend.build_context(initial_routing(ext))
+        with ParallelBackend(workers=8, staleness=STALENESS) as backend:
+            _batched(backend, ext, GradientConfig(eta=0.04), chunks=1)
             assert backend._pool_size == 3
             assert len(backend._shards) == 3
             assert backend._pool._max_workers == 3
@@ -353,23 +294,8 @@ class TestBackendLifecycle:
 class TestStaleness:
     """The bounded-staleness batched-dispatch contract of ParallelBackend."""
 
-    def test_staleness_zero_is_bit_identical(self):
-        """staleness=0 keeps the synchronous schedule: same bits as serial."""
-        ext = _random_ext(seed=5)
-        config = GradientConfig(eta=0.04, max_iterations=40, record_every=5)
-        r_serial = GradientAlgorithm(ext, config).run()
-        with ParallelBackend(workers=2, staleness=0) as backend:
-            r_stale = GradientAlgorithm(ext, config, backend=backend).run()
-        assert r_serial.iterations == r_stale.iterations
-        assert [h.cost for h in r_serial.history] == [
-            h.cost for h in r_stale.history
-        ]
-        assert np.array_equal(
-            r_serial.solution.routing.phi, r_stale.solution.routing.phi
-        )
-
     def test_staleness_within_documented_drift_bound(self):
-        """staleness>0 relaxes bit-identity but not the drift bound."""
+        """Batches relax bit-identity but not the drift bound."""
         from repro.validate import (
             STALENESS_DRIFT_RTOL,
             AlgorithmSpec,
@@ -415,8 +341,9 @@ class TestStaleness:
         assert drift <= STALENESS_DRIFT_RTOL, drift
         counters = inst.registry.as_dict()["counters"]
         assert counters.get("parallel.batch_rejected", 0) > 0
-        # rejected batches are redone synchronously: one logical flow solve
-        # per iteration either way (backtracking trials count separately)
+        # rejected batches are redone by the master's serial step: one
+        # logical flow solve per iteration either way (backtracking trials
+        # count separately)
         assert counters["flow_solves"] == config.max_iterations + 1
 
     def test_staleness_preserves_record_cadence(self):
@@ -448,17 +375,20 @@ class TestStaleness:
         assert inst_stale.registry.counter("parallel.batches").value > 0
 
     def test_invalid_staleness(self):
+        for bad in (-1, 0, "2", True):
+            with pytest.raises(ValueError):
+                ParallelBackend(workers=2, staleness=bad)
+        with pytest.raises(TypeError):
+            ParallelBackend(workers=2)  # staleness is required
         with pytest.raises(ValueError):
-            ParallelBackend(workers=2, staleness=-1)
-        with pytest.raises(ValueError):
-            ParallelBackend(workers=2, staleness="2")
+            ParallelBackend(workers=2, staleness=2, inject_fault="step")
 
     def test_solve_staleness_requires_gradient_method(self):
         net = random_stream_network(
             RandomNetworkSpec(num_nodes=14, num_commodities=2), seed=6
         )
         with pytest.raises(TypeError, match="staleness"):
-            solve(net, method="distributed", workers=2, staleness=2)
+            solve(net, method="distributed", staleness=2)
 
     def test_batch_worker_fault_surfaces_clean_error(self):
         ext = _random_ext(seed=3)
@@ -495,19 +425,19 @@ class TestResourceHygiene:
             net = random_stream_network(
                 RandomNetworkSpec(num_nodes=16, num_commodities=2), seed=8
             )
-            config = GradientConfig(eta=0.04, max_iterations=5)
-            solve(net, config=config, workers=2)  # clean path
+            config = GradientConfig(eta=0.04, max_iterations=10, record_every=5)
+            solve(net, config=config, workers=2, staleness=4)  # clean path
 
             ext = build_extended_network(net)
-            crashing = ParallelBackend(workers=2, inject_fault="step")
+            crashing = ParallelBackend(workers=2, staleness=4, inject_fault="batch")
             try:
                 GradientAlgorithm(ext, config, backend=crashing).run()
             except ParallelExecutionError:
                 pass  # the crash path tears pool + segments down
 
-            leaky = ParallelBackend(workers=2)
+            leaky = ParallelBackend(workers=2, staleness=4)
             leaky.bind(ext, config)
-            leaky.build_context(initial_routing(ext))
+            leaky.advance(initial_routing(ext), None, 5)
             # never closed: the atexit safety net must unlink the segments
             print("SUBPROCESS-OK")
             """

@@ -149,21 +149,6 @@ class TestSolveAPI:
         with pytest.raises(TypeError, match="bogus"):
             solve(diamond_network(), bogus=3)
 
-    def test_legacy_kwargs_warn_and_match_config(self):
-        via_config = solve(
-            diamond_network(), config=GradientConfig(eta=0.05, max_iterations=40)
-        )
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            via_kwargs = solve(diamond_network(), eta=0.05, max_iterations=40)
-        assert via_kwargs.utility == pytest.approx(via_config.utility, abs=0)
-
-    def test_legacy_eps_maps_to_cost_model(self):
-        with pytest.warns(DeprecationWarning):
-            result = solve(
-                diamond_network(), eps=0.3, max_iterations=20, full_result=True
-            )
-        assert result.solution.iterations == 20
-
     def test_instrumentation_threads_through(self):
         inst = Instrumentation()
         solve(

@@ -4,121 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.exceptions import SolverError
-from repro.solver import (
-    BlockSimplexProblem,
-    Polytope,
-    armijo_step,
-    feasible_point,
-    frank_wolfe,
-    project_rows_to_simplex,
-    project_to_simplex,
-    projected_gradient,
-)
-
-
-class TestSimplexProjection:
-    def test_already_on_simplex_unchanged(self):
-        v = np.array([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(project_to_simplex(v), v)
-
-    def test_uniform_shift_invariance(self):
-        """Projection of v + c*1 equals projection of v."""
-        v = np.array([0.1, -0.4, 2.0, 0.7])
-        np.testing.assert_allclose(
-            project_to_simplex(v + 3.7), project_to_simplex(v), atol=1e-12
-        )
-
-    def test_single_coordinate(self):
-        np.testing.assert_allclose(project_to_simplex(np.array([-5.0])), [1.0])
-
-    def test_radius(self):
-        out = project_to_simplex(np.array([1.0, 2.0, 3.0]), radius=6.0)
-        assert out.sum() == pytest.approx(6.0)
-        assert np.all(out >= 0)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            project_to_simplex(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            project_to_simplex(np.array([]))
-        with pytest.raises(ValueError):
-            project_to_simplex(np.array([1.0]), radius=0.0)
-
-    @given(
-        st.lists(st.floats(-50, 50), min_size=1, max_size=30),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_output_is_on_simplex(self, values):
-        out = project_to_simplex(np.array(values))
-        assert out.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(out >= -1e-12)
-
-    @given(
-        st.lists(st.floats(-20, 20), min_size=2, max_size=12),
-        st.integers(0, 10_000),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_projection_is_closest_point(self, values, seed):
-        """No random simplex point is closer than the projection."""
-        v = np.array(values)
-        proj = project_to_simplex(v)
-        rng = np.random.default_rng(seed)
-        candidate = rng.dirichlet(np.ones(v.size))
-        assert np.linalg.norm(v - proj) <= np.linalg.norm(v - candidate) + 1e-9
-
-    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=15))
-    @settings(max_examples=150, deadline=None)
-    def test_idempotent(self, values):
-        v = np.array(values)
-        once = project_to_simplex(v)
-        twice = project_to_simplex(once)
-        np.testing.assert_allclose(once, twice, atol=1e-9)
-
-    def test_rows_version_matches_per_row(self, rng):
-        matrix = rng.normal(size=(8, 5)) * 3
-        rows = project_rows_to_simplex(matrix)
-        for i in range(matrix.shape[0]):
-            np.testing.assert_allclose(
-                rows[i], project_to_simplex(matrix[i]), atol=1e-12
-            )
-
-    def test_rows_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            project_rows_to_simplex(np.zeros(3))
-
-
-class TestArmijo:
-    def test_finds_full_step_on_linear(self):
-        step = armijo_step(
-            objective=lambda x: float(x.sum()),
-            point=np.zeros(2),
-            direction=np.ones(2),
-            directional_derivative=2.0,
-        )
-        assert step == pytest.approx(1.0)
-
-    def test_backtracks_on_overshoot(self):
-        # f(x) = -(x - 0.3)^2: ascent from 0 toward +1 overshoots at step 1
-        step = armijo_step(
-            objective=lambda x: -float((x[0] - 0.3) ** 2),
-            point=np.zeros(1),
-            direction=np.ones(1),
-            directional_derivative=0.6,
-        )
-        assert 0 < step < 1.0
-
-    def test_non_ascent_returns_zero(self):
-        step = armijo_step(
-            objective=lambda x: float(x.sum()),
-            point=np.zeros(2),
-            direction=np.ones(2),
-            directional_derivative=-1.0,
-        )
-        assert step == 0.0
+from repro.solver import Polytope, feasible_point, frank_wolfe
 
 
 def box_polytope(n, upper=1.0):
@@ -188,41 +76,3 @@ class TestFrankWolfe:
                 polytope=box_polytope(2),
                 x0=np.array([5.0, 5.0]),
             )
-
-
-class TestProjectedGradient:
-    def test_minimizes_quadratic_over_simplex(self):
-        """min |x - p|^2 over the simplex => the projection of p."""
-        p = np.array([0.7, 0.1, -0.3])
-        problem = BlockSimplexProblem(
-            objective=lambda x: float(((x - p) ** 2).sum()),
-            gradient=lambda x: 2.0 * (x - p),
-            blocks=[np.arange(3)],
-            num_vars=3,
-        )
-        result = projected_gradient(problem, x0=np.full(3, 1 / 3))
-        np.testing.assert_allclose(result.x, project_to_simplex(p), atol=1e-5)
-        assert result.converged
-
-    def test_two_independent_blocks(self):
-        p = np.array([2.0, 0.0, 0.0, 2.0])
-        problem = BlockSimplexProblem(
-            objective=lambda x: float(((x - p) ** 2).sum()),
-            gradient=lambda x: 2.0 * (x - p),
-            blocks=[np.array([0, 1]), np.array([2, 3])],
-            num_vars=4,
-        )
-        result = projected_gradient(problem, x0=np.array([0.5, 0.5, 0.5, 0.5]))
-        np.testing.assert_allclose(result.x, [1.0, 0.0, 0.0, 1.0], atol=1e-5)
-
-    def test_value_history_monotone(self):
-        p = np.array([0.9, 0.1])
-        problem = BlockSimplexProblem(
-            objective=lambda x: float(((x - p) ** 2).sum()),
-            gradient=lambda x: 2.0 * (x - p),
-            blocks=[np.arange(2)],
-            num_vars=2,
-        )
-        result = projected_gradient(problem, x0=np.array([0.5, 0.5]))
-        values = np.array(result.value_history)
-        assert np.all(np.diff(values) <= 1e-12)

@@ -297,22 +297,13 @@ class TestDifferentialOracle:
         assert report.passed, report.summary()
         assert report.utility_rel_diff <= 0.1
 
-    def test_serial_vs_parallel_bit_identical(self):
-        report = DifferentialOracle().compare_backends(
-            diamond_network(),
-            workers=2,
-            config=calibrated_gradient_config(max_iterations=300),
-        )
-        assert report.passed, report.summary()
-        assert report.bit_identical
-        assert report.utility_rel_diff == 0.0
-        assert report.admitted_max_diff == 0.0
-
     def test_oracle_report_serializes(self):
-        report = DifferentialOracle().compare_backends(
+        config = calibrated_gradient_config(max_iterations=100)
+        report = DifferentialOracle().compare(
             diamond_network(),
-            workers=2,
-            config=calibrated_gradient_config(max_iterations=100),
+            AlgorithmSpec(config=config),
+            AlgorithmSpec(config=config, label="gradient[again]"),
+            require_bit_identical=True,
         )
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["schema"] == "repro.oracle/1"
