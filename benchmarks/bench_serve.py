@@ -1,12 +1,13 @@
 """TAB-SERVE -- admission-control-as-a-service throughput and latency.
 
 The serve daemon (``repro.serve``) puts the delta core behind a TCP
-protocol: requests coalesce inside a batch window, each drained batch is
-applied as few ``ProblemDelta``s, refined by the warm gradient engine, and
-published only after the invariant audit passes.  This bench boots the
-daemon on the 120-node churn workload, replays a mixed churn trace through
-the pipelined client driver, and records sustained events/sec plus
-admission-decision latency quantiles into ``BENCH_SERVE.json``.
+protocol: the optimizer group-commits requests (the moment it is free it
+takes everything queued), each batch is applied as few ``ProblemDelta``s,
+refined by the warm gradient engine, and published only after the
+invariant audit passes.  This bench boots the daemon on the 120-node
+churn workload, replays a mixed churn trace through the pipelined client
+driver, and records sustained events/sec plus admission-decision latency
+quantiles into ``BENCH_SERVE.json``.
 
 Correctness in every mode: zero request errors, zero epoch-validation
 failures (every published epoch passed ``InvariantChecker``), and the
@@ -18,8 +19,8 @@ Timing gates (dedicated bench host only, SERVE_SMOKE=1 drops them):
 * p99 admission-decision latency (request hits the socket -> response
   read) under 50 ms,
 
-with the paper-scale setup: 120 nodes, 12 commodities, 20 ms batch
-window, and the serial engine.
+with the paper-scale setup: 120 nodes, 12 commodities, and the serial
+engine.
 
 The trace is a *serving* mix: rate adaptation (demand/capacity, the
 paper's Section V case) dominates, with session churn and failures as the
@@ -33,7 +34,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from conftest import emit
+from conftest import emit, host_context
 
 from repro.analysis import TableBuilder
 from repro.obs import Instrumentation, write_metrics_json
@@ -45,10 +46,6 @@ NUM_NODES = 120
 NUM_COMMODITIES = 12
 NUM_EVENTS = 240
 
-BATCH_WINDOW = 0.020  # seconds
-# pipeline > max_batch on purpose: the spare in-flight requests mean every
-# batch hits the size cap (which returns immediately) instead of expiring
-# the full window, so the saturated cycle is exec-bound, not window-bound
 MAX_BATCH = 20
 PIPELINE = 32  # client-side in-flight requests
 REFINE_ITERATIONS = 6
@@ -70,7 +67,6 @@ ROUNDS = 2  # timing gates take the best round (correctness holds on all)
 SERVE_SMOKE = os.environ.get("SERVE_SMOKE", "") == "1"
 if SERVE_SMOKE:
     NUM_NODES, NUM_COMMODITIES, NUM_EVENTS = 30, 6, 200
-    BATCH_WINDOW = 0.010
     REFINE_ITERATIONS = 4
     WARMUP_ITERATIONS = 80
     ROUNDS = 1  # no timing gates in smoke, so no best-of filtering either
@@ -86,7 +82,6 @@ def test_serve_throughput(benchmark):
     events = compiled.events
     assert len(events) == NUM_EVENTS
     config = ServeConfig(
-        batch_window=BATCH_WINDOW,
         max_batch=MAX_BATCH,
         refine_iterations=REFINE_ITERATIONS,
         warmup_iterations=WARMUP_ITERATIONS,
@@ -142,7 +137,7 @@ def test_serve_throughput(benchmark):
     emit(
         "TAB-SERVE: admission daemon throughput "
         f"({NUM_NODES} nodes, {NUM_COMMODITIES} commodities, "
-        f"{len(events)} events, window {1e3 * BATCH_WINDOW:g} ms"
+        f"{len(events)} events, max batch {MAX_BATCH}"
         + (", SMOKE)" if SERVE_SMOKE else ")"),
         table.render(),
     )
@@ -172,9 +167,9 @@ def test_serve_throughput(benchmark):
         num_nodes=NUM_NODES,
         num_commodities=NUM_COMMODITIES,
         num_events=len(events),
-        batch_window=BATCH_WINDOW,
         pipeline=PIPELINE,
         smoke=SERVE_SMOKE,
+        host=host_context(),
     )
 
     if not SERVE_SMOKE:
@@ -196,7 +191,6 @@ def test_serve_diurnal_soak():
     """
     compiled = scenario("serve-diurnal-30").compile()
     config = ServeConfig(
-        batch_window=BATCH_WINDOW,
         max_batch=MAX_BATCH,
         refine_iterations=REFINE_ITERATIONS,
         warmup_iterations=WARMUP_ITERATIONS,

@@ -5,10 +5,10 @@ The paper's distributed algorithm decides, per commodity, how much offered
 rate the system admits at max utility.  ``repro.serve`` packages that
 decision loop as a daemon: a TCP endpoint accepts churn events
 (new-session admission requests, demand changes, capacity changes,
-failures), coalesces them inside a batch window, applies each drained
-batch to the live epoch-versioned model as a few compiled deltas, refines
-with the warm gradient engine, and publishes the next epoch only after
-the invariant audit passes.
+failures), takes everything queued as one batch the moment its optimizer
+is free, applies each batch to the live epoch-versioned model as a few
+compiled deltas, refines with the warm gradient engine, and publishes the
+next epoch only after the invariant audit passes.
 
 This demo embeds the daemon in-process (:class:`ServerThread`), connects
 the line-protocol client, and walks one small operational story:
@@ -58,9 +58,7 @@ def main() -> None:
     # a demo is latency-unconstrained: spend more refine iterations per
     # batch than a serving deployment would, so each printed admitted
     # rate is well converged
-    config = ServeConfig(
-        batch_window=0.010, refine_iterations=40, warmup_iterations=200
-    )
+    config = ServeConfig(refine_iterations=40, warmup_iterations=200)
     rows = []
     with ServerThread(network, config=config) as port:
         with ServeClient("127.0.0.1", port) as client:

@@ -27,7 +27,7 @@ Examples
     python -m repro validate --self-test                  # fault injection
     python -m repro figure4 --seed 7
     python -m repro serve model.json --port 7471 --workers 2 --staleness 4
-    python -m repro serve --nodes 120 --commodities 12 --batch-window 0.02
+    python -m repro serve --nodes 120 --commodities 12 --max-batch 32
     python -m repro serve --scenario serve-smoke-30
     python -m repro scenario list --json
     python -m repro scenario run fat-tree-16          # TAB-PLACEMENT
@@ -420,7 +420,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        batch_window=args.batch_window,
         max_batch=args.max_batch,
         queue_limit=args.queue_limit,
         refine_iterations=args.refine,
@@ -445,8 +444,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # stdout, flushed before any request is served
         print(
             f"repro.serve/1 listening on {config.host}:{port} "
-            f"(batch-window {1e3 * config.batch_window:g} ms, "
-            f"max-batch {config.max_batch}, "
+            f"(max-batch {config.max_batch}, "
             f"validate={'on' if config.validate_epochs else 'off'})",
             flush=True,
         )
@@ -674,10 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
         "readiness line)",
     )
     srv.add_argument(
-        "--batch-window", type=float, default=0.020, metavar="SECONDS",
-        help="how long requests coalesce into one batch (default 20 ms)",
+        "--max-batch", type=int, default=64,
+        help="cap on the events the optimizer takes from the queue at once",
     )
-    srv.add_argument("--max-batch", type=int, default=64)
     srv.add_argument(
         "--queue-limit", type=int, default=1024,
         help="pending event requests before overloaded (429) backpressure",

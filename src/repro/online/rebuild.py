@@ -19,9 +19,11 @@ Three jobs:
   routing may oversubscribe surviving nodes.  This scales every commodity's
   admission down (moving the surplus onto the dummy difference link -- the
   transformation's built-in load-shedding path) until the hard capacities
-  hold again, via bisection on a global admission factor.  This is the
+  hold again, by one closed-form admission factor.  This is the
   "load shedding on failure" reflex a production system would wire to the
-  same mechanism.
+  same mechanism; the serve session also uses it, restricted to the
+  commodities at over-capacity nodes, to project a refined routing back
+  onto capacity before publishing.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.commodity import Commodity, StreamNetwork
 from repro.core.delta import build_index_maps, carry_routing
 from repro.core.network import NodeKind, PhysicalNetwork
-from repro.core.routing import RoutingState, feasibility_report
+from repro.core.routing import RoutingState, feasibility_report, solve_traffic
 from repro.core.transform import ExtendedNetwork
 from repro.exceptions import ModelError, ValidationError
 from repro.online.events import (
@@ -307,6 +309,9 @@ def emergency_shed(
     routing: RoutingState,
     utilization_target: float = 0.98,
     bisection_steps: int = 40,
+    *,
+    overloaded_only: bool = False,
+    tolerance: float = 0.0,
 ) -> RoutingState:
     """Scale admissions down until no node exceeds ``utilization_target``.
 
@@ -319,15 +324,25 @@ def emergency_shed(
     search.  ``bisection_steps`` bounds the fallback search kept for the
     (numerically pathological) case where the closed-form scale still
     verifies infeasible.
+
+    ``overloaded_only`` scales only the commodities with traffic at a node
+    above the target; the rest keep their admission.  Every node above the
+    target then carries scaled commodities only, so the same closed form
+    still lands the peak on the target.  ``tolerance`` is the relative slack
+    over the target that still counts as met, which absorbs the rounding of
+    a scale aimed exactly at the target (the serve session's projection
+    back onto capacity, ``utilization_target=1.0``).
     """
     if not 0.0 < utilization_target <= 1.0:
         raise ModelError("utilization_target must be in (0, 1]")
 
     base = routing.copy()
+    limit = utilization_target * (1.0 + tolerance)
+    shed = ext.commodities
 
     def with_admission_scale(scale: float) -> RoutingState:
         scaled = base.copy()
-        for view in ext.commodities:
+        for view in shed:
             j = view.index
             admit = base.phi[j, view.input_edge] * scale
             scaled.phi[j, view.input_edge] = admit
@@ -337,17 +352,23 @@ def emergency_shed(
     def peak_utilization(candidate: RoutingState) -> float:
         return feasibility_report(ext, candidate).max_utilization
 
-    peak = peak_utilization(base)
-    if peak <= utilization_target:
+    traffic = solve_traffic(ext, base)
+    report = feasibility_report(ext, base, traffic)
+    peak = report.max_utilization
+    if peak <= limit:
         return base
+    if overloaded_only:
+        over = report.utilization > utilization_target
+        crossing = (traffic[:, over] > 0.0).any(axis=1)
+        shed = [view for view in ext.commodities if crossing[view.index]]
     hi = min(1.0, utilization_target / peak)
     candidate = with_admission_scale(hi)
-    if peak_utilization(candidate) <= utilization_target:
+    if peak_utilization(candidate) <= limit:
         return candidate
     lo = 0.0
     for __ in range(bisection_steps):
         mid = 0.5 * (lo + hi)
-        if peak_utilization(with_admission_scale(mid)) <= utilization_target:
+        if peak_utilization(with_admission_scale(mid)) <= limit:
             lo = mid
         else:
             hi = mid

@@ -2,10 +2,11 @@
 
 The daemon (:class:`AdmissionServer`) owns a live epoch-versioned model
 plus a warm execution backend, accepts admit/depart/demand-change requests
-over the newline-delimited JSON ``repro.serve/1`` protocol, coalesces
-bursts inside a batch window into few :class:`~repro.core.delta.
-ProblemDelta` applications, and answers from the latest *converged,
-validated* epoch while a background task re-optimises.
+over the newline-delimited JSON ``repro.serve/1`` protocol, and
+group-commits them: the moment the optimizer is free it takes everything
+queued as one batch of few :class:`~repro.core.delta.ProblemDelta`
+applications.  It answers from the latest *converged, validated* epoch
+while a background task re-optimises.
 
 See docs/serving.md for the protocol spec and deployment guidance, and
 ``examples/serve_demo.py`` for an end-to-end walkthrough.

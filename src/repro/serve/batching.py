@@ -1,23 +1,26 @@
-"""Batch-window coalescing: many requests, few epochs.
+"""Group-commit coalescing: many requests, few epochs.
 
 The daemon's throughput story is that an event does **not** cost an epoch.
-Requests arriving within one batch window (default 20 ms) are drained
-together, and every maximal run of *scalar* events (``demand`` /
-``capacity`` -- the paper's Section V adaptation case, and the bulk of any
-realistic churn mix) is merged into **one** :class:`~repro.core.delta.
-ProblemDelta` whose :class:`~repro.core.delta.ScalarPatch` carries the
-last-write-wins union of the run.  ``ScalarPatch`` entries are absolute
-values, so the merge is exact: applying the merged patch leaves the model
-bit-identical to applying the run one event at a time, while bumping the
-epoch once instead of N times (pinned in ``tests/test_serve.py``).
+Requests that queue while the optimizer works on one batch are drained
+together as the next one, and every maximal run of *scalar* events
+(``demand`` / ``capacity`` -- the paper's Section V adaptation case, and
+the bulk of any realistic churn mix) is merged into **one**
+:class:`~repro.core.delta.ProblemDelta` whose :class:`~repro.core.delta.
+ScalarPatch` carries the last-write-wins union of the run.
+``ScalarPatch`` entries are absolute values, so the merge is exact:
+applying the merged patch leaves the model bit-identical to applying the
+run one event at a time, while bumping the epoch once instead of N times
+(pinned in ``tests/test_serve.py``).
 
 Structural events (admit/depart/failures) change the layout and therefore
 keep one delta each -- their splice cost is the floor the delta core
 already pays (see docs/online.md).
 
 :class:`BatchQueue` is the asyncio side: a bounded queue whose
-:meth:`~BatchQueue.collect` waits for the first pending event, then keeps
-draining until the window closes or the batch size cap is hit.
+:meth:`~BatchQueue.collect` waits for the first pending event, then takes
+whatever else is already queued, up to the batch size cap.  There is no
+timer: a busy optimizer is what lets a batch grow, and an idle one
+dispatches the first event at once.
 """
 
 from __future__ import annotations
@@ -127,12 +130,11 @@ class PendingEvent:
     event: NetworkEvent
     future: "asyncio.Future[Any]"
     enqueued_at: float = 0.0
-    connection: Any = None  # the owning connection (for per-request metrics)
 
 
 @dataclass
 class BatchQueue:
-    """Bounded request queue with window-based batch collection.
+    """Bounded request queue with group-commit batch collection.
 
     ``limit`` bounds the number of *pending* (enqueued but unanswered)
     event requests; :meth:`try_put` refuses beyond it, which the server
@@ -163,42 +165,16 @@ class BatchQueue:
         """The server answered ``count`` previously enqueued requests."""
         self._pending = max(0, self._pending - count)
 
-    async def collect(
-        self, window: float, max_batch: int
-    ) -> List[PendingEvent]:
-        """One batch: wait for the first item, drain until window/cap.
+    async def collect(self, max_batch: int) -> List[PendingEvent]:
+        """One batch: wait for the first item, then take what else is queued.
 
-        Returns at least one item; the window clock starts when the first
-        item arrives (not when the call does), so an idle server wakes
-        exactly once per burst.
+        Returns between 1 and ``max_batch`` items, in arrival order.  Only
+        the wait for the first item suspends, so a cancelled call holds
+        nothing: every item is either in the returned batch or still queued.
         """
-        first = await self._queue.get()
-        batch = [first]
-        try:
-            if window <= 0.0:
-                # degenerate window: take whatever is already queued, no wait
-                while len(batch) < max_batch and not self._queue.empty():
-                    batch.append(self._queue.get_nowait())
-                return batch
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + window
-            while len(batch) < max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0.0:
-                    break
-                try:
-                    item = await asyncio.wait_for(
-                        self._queue.get(), timeout=remaining
-                    )
-                except asyncio.TimeoutError:
-                    break
-                batch.append(item)
-        except asyncio.CancelledError:
-            # a concurrent collector may be cancelled mid-window (fault or
-            # drain); hand its items back so nothing silently hangs
-            for item in batch:
-                self._queue.put_nowait(item)
-            raise
+        batch = [await self._queue.get()]
+        while len(batch) < max_batch and not self._queue.empty():
+            batch.append(self._queue.get_nowait())
         return batch
 
     def drain_nowait(self) -> List[PendingEvent]:

@@ -4,8 +4,9 @@
 ``repro.serve/1`` protocol -- one socket, newline-delimited JSON, optional
 pipelining (write ``N`` requests, then read ``N`` responses in order).
 Pipelining is what makes a single connection fast against a batching
-server: a 20 ms window caps a strictly request-response client at ~50
-events/s, while a pipeline of 16 rides the same window at hundreds.
+server: a strictly request-response client pays one whole batch (apply,
+refine, audit, publish) per event, while with a pipeline of 16 the events
+that queue during one batch share the next.
 
 :func:`replay_trace` is the load driver: it replays a
 :func:`repro.scenarios.churn_trace` event timeline against a live daemon,

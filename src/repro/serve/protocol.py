@@ -3,8 +3,8 @@
 One request per line, one response per line, in request order.  Requests
 carry a client-chosen ``id`` that the response echoes, so clients may
 *pipeline* -- write many requests before reading any response -- which is
-how a single connection sustains hundreds of events per second through a
-batch window (see docs/serving.md).
+how a single connection sustains hundreds of events per second: the events
+that queue while one batch optimises share the next (see docs/serving.md).
 
 Request shape::
 

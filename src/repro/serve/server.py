@@ -4,8 +4,9 @@
 (:mod:`repro.serve.protocol`).  The request path never computes: read ops
 are answered straight from the latest published :class:`~repro.serve.
 session.EpochSnapshot`, and event ops are enqueued into a bounded
-:class:`~repro.serve.batching.BatchQueue` whose drained batches a single
-background *optimizer task* pushes through :meth:`ServeSession.
+:class:`~repro.serve.batching.BatchQueue`.  A single background *optimizer
+task* group-commits them: the moment it is free it takes everything queued
+(up to ``max_batch``) and pushes that batch through :meth:`ServeSession.
 process_batch` on a dedicated worker thread (numpy releases the GIL, so the
 event loop keeps answering while the model re-optimises).  Connections
 pipeline freely -- responses are written strictly in request order per
@@ -38,6 +39,7 @@ import gc
 import json
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -63,7 +65,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0: ephemeral, the bound port lands in server.port
-    batch_window: float = 0.020  # seconds requests coalesce per batch
     max_batch: int = 64  # events per batch cap
     queue_limit: int = 1024  # pending (unanswered) event requests
     refine_iterations: int = 8  # gradient steps per published epoch
@@ -72,8 +73,6 @@ class ServeConfig:
     min_admit_rate: float = 0.0  # revert arrivals admitted below this rate
 
     def __post_init__(self) -> None:
-        if self.batch_window < 0:
-            raise ServeError("batch_window must be >= 0")
         if self.max_batch < 1:
             raise ServeError("max_batch must be >= 1")
         if self.queue_limit < 1:
@@ -130,6 +129,11 @@ class AdmissionServer:
         self._writers: set = set()
         self._closed = asyncio.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        # instrumented runs only: when each batched event was answered, read
+        # back by its connection's write loop for the write stage
+        self._answered_at: "weakref.WeakKeyDictionary[asyncio.Future, float]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -153,10 +157,7 @@ class AdmissionServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._optimizer = asyncio.ensure_future(self._optimizer_loop())
-        self.inst.event(
-            "serve.start", host=self.config.host, port=self.port,
-            batch_window=self.config.batch_window,
-        )
+        self.inst.event("serve.start", host=self.config.host, port=self.port)
         return self.port
 
     async def wait_closed(self) -> None:
@@ -198,30 +199,13 @@ class AdmissionServer:
     # -- the optimizer task -------------------------------------------------------
 
     async def _optimizer_loop(self) -> None:
-        assert self._loop is not None
-        window, cap = self.config.batch_window, self.config.max_batch
-        collector: Optional[asyncio.Task] = None
+        # group commit: while one batch optimises the next one queues, and
+        # the moment the optimizer is free it takes all of it (up to the cap)
         try:
             while self._fault is None:
-                if collector is None:
-                    collector = asyncio.ensure_future(
-                        self._queue.collect(window, cap)
-                    )
-                batch = await collector
-                # collect the next batch while this one optimises: the
-                # window timer overlaps with processing, so a saturated
-                # pipe pays max(window, processing) per batch, not the sum
-                collector = asyncio.ensure_future(
-                    self._queue.collect(window, cap)
-                )
+                batch = await self._queue.collect(self.config.max_batch)
                 await self._process_batch(batch)
         finally:
-            if collector is not None:
-                collector.cancel()  # cancellation re-queues partial batches
-                try:
-                    await collector
-                except (asyncio.CancelledError, Exception):
-                    pass
             if self._fault is not None:
                 self._fail_batch(
                     self._queue.drain_nowait(),
@@ -230,6 +214,10 @@ class AdmissionServer:
 
     async def _process_batch(self, batch: List[PendingEvent]) -> None:
         assert self._loop is not None
+        cut = time.monotonic()
+        if self.inst.enabled:
+            for pending in batch:
+                self._observe_stage("queue_wait", cut - pending.enqueued_at)
         events = [p.event for p in batch]
         try:
             outcomes, snapshot = await self._loop.run_in_executor(
@@ -248,9 +236,8 @@ class AdmissionServer:
             self._fault = exc
             self.inst.event("serve.fault", error=repr(exc))
             self._fail_batch(batch, f"optimizer crashed: {exc!r}")
-            # anything already enqueued (or held by the concurrent
-            # collector) is answered by the optimizer loop's teardown --
-            # 503, never a hang
+            # anything already enqueued is answered by the optimizer loop's
+            # teardown -- 503, never a hang
             return
         self.stats["batches"] += 1
         now = time.monotonic()
@@ -258,15 +245,24 @@ class AdmissionServer:
             self.stats[
                 "events_accepted" if outcome.accepted else "events_rejected"
             ] += 1
-            if self.inst.enabled and pending.enqueued_at:
+            if self.inst.enabled:
+                # request = queue_wait + session: enqueue to the published
+                # epoch reaching the event loop
                 self.inst.registry.histogram("serve.request.seconds").observe(
                     now - pending.enqueued_at
                 )
+                self._observe_stage("session", now - cut)
+                self._answered_at[pending.future] = now
             if not pending.future.done():
                 pending.future.set_result(
                     self._event_response(pending.request, outcome, snapshot)
                 )
         self._queue.task_done(len(batch))
+
+    def _observe_stage(self, stage: str, seconds: float) -> None:
+        self.inst.registry.histogram(f"serve.stage.{stage}.seconds").observe(
+            seconds
+        )
 
     def _fail_batch(self, batch: List[PendingEvent], message: str) -> None:
         self.stats["unavailable"] += len(batch)
@@ -325,7 +321,6 @@ class AdmissionServer:
         }
         if request.op == "hello":
             fields["server"] = {
-                "batch_window": self.config.batch_window,
                 "max_batch": self.config.max_batch,
                 "queue_limit": self.config.queue_limit,
                 "refine_iterations": self.config.refine_iterations,
@@ -400,6 +395,10 @@ class AdmissionServer:
             if slot is None:
                 return
             data = await slot
+            if self.inst.enabled:
+                answered = self._answered_at.pop(slot, None)
+                if answered is not None:
+                    self._observe_stage("write", time.monotonic() - answered)
             try:
                 writer.write(data)
                 await writer.drain()

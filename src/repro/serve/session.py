@@ -16,10 +16,12 @@ warm-up and every refine), and the invariant checker
 2. the gradient engine *refines* the carried state for a bounded number of
    iterations (the background re-optimisation -- warm starts mean a few
    iterations recover most of the utility, see docs/online.md),
-3. the result is audited by :class:`~repro.validate.InvariantChecker` and,
-   only if the audit passes, **published** as an immutable
-   :class:`EpochSnapshot` via a single attribute store -- atomic under the
-   GIL, so the asyncio thread answering requests never sees a torn epoch.
+3. the result is audited by :class:`~repro.validate.InvariantChecker`; a
+   routing that fails the audit's ``capacity`` check is first projected
+   back onto eq. (6) and audited again, and only an audit that passes is
+   **published** as an immutable :class:`EpochSnapshot` via a single
+   attribute store -- atomic under the GIL, so the asyncio thread answering
+   requests never sees a torn epoch.
 
 Requests are answered from the latest published snapshot; the staleness
 bound is structural: at most the one batch currently being optimised can be
@@ -50,13 +52,13 @@ from repro.obs.instrumentation import NULL_INSTRUMENTATION
 from repro.online.events import CommodityArrival, CommodityDeparture, NetworkEvent
 from repro.online.rebuild import emergency_shed
 from repro.serve.batching import merge_scalar_run, plan_batch
-from repro.validate import InvariantChecker, ValidationReport
+from repro.validate import InvariantChecker, Tolerances, ValidationReport
 
 __all__ = ["SERVE_CHECKS", "EventOutcome", "EpochSnapshot", "ServeSession"]
 
 # the per-epoch audit: every structural invariant of the paper's catalog.
 # monotonicity needs an iterate history an online epoch does not have, and
-# duality_gap solves an LP per audit -- far too slow for a 20 ms publish
+# duality_gap solves an LP per audit -- far too slow for a per-batch publish
 # loop (it stays available via checks= for offline forensics).
 SERVE_CHECKS = ("routing", "conservation", "capacity", "admission", "dummy")
 
@@ -358,28 +360,52 @@ class ServeSession:
         )
         return solution.admitted_by_name
 
+    def _audited_solution(self) -> Tuple[Solution, Optional[ValidationReport]]:
+        solution = build_solution(
+            self.ext,
+            self.routing,
+            self.config.cost_model,
+            method="gradient-serve",
+            iterations=self._refined_total,
+        )
+        if not self.validate_epochs:
+            return solution, None
+        checker = InvariantChecker(
+            self.ext, checks=self.checks, instrumentation=self.inst
+        )
+        return solution, checker.check_solution(solution)
+
+    def _project(self) -> None:
+        """Pull a refined routing that broke eq. (6) back onto capacity.
+
+        The safeguarded barrier (:mod:`repro.core.penalty`) is finite past
+        0.99 C, so the penalised optimum can lie beyond C and the refine
+        walks to it.  Load is linear in the admission scale, so scaling the
+        commodities at over-capacity nodes by 1 / peak lands the peak on C
+        in one step; every other commodity keeps its admission.
+        """
+        self.routing = emergency_shed(
+            self.ext, self.routing,
+            utilization_target=1.0,
+            bisection_steps=self.shed_bisection_steps,
+            overloaded_only=True,
+            tolerance=Tolerances().capacity,
+        )
+        self.inst.count("serve.post_refine_sheds")
+
     def _publish(self, batch_size: int) -> EpochSnapshot:
         with self.inst.phase("serve.publish"):
-            solution = build_solution(
-                self.ext,
-                self.routing,
-                self.config.cost_model,
-                method="gradient-serve",
-                iterations=self._refined_total,
-            )
-            report: Optional[ValidationReport] = None
-            if self.validate_epochs:
-                checker = InvariantChecker(
-                    self.ext, checks=self.checks, instrumentation=self.inst
+            solution, report = self._audited_solution()
+            if report is not None and "capacity" in report.failed_names:
+                self._project()
+                solution, report = self._audited_solution()
+            if report is not None and not report.passed:
+                self.inst.count("serve.epoch_validation_failures")
+                failed = ", ".join(report.failed_names)
+                raise ServeError(
+                    f"epoch {self.current_epoch()} failed validation "
+                    f"({failed}); not published"
                 )
-                report = checker.check_solution(solution)
-                if not report.passed:
-                    self.inst.count("serve.epoch_validation_failures")
-                    failed = ", ".join(report.failed_names)
-                    raise ServeError(
-                        f"epoch {self.current_epoch()} failed validation "
-                        f"({failed}); not published"
-                    )
             self._seq += 1
             snapshot = EpochSnapshot(
                 epoch=self.current_epoch(),

@@ -248,6 +248,43 @@ class TestEmergencyShed:
         assert shed.phi[0, out[0]] == pytest.approx(0.7)
         assert shed.phi[0, out[1]] == pytest.approx(0.3)
 
+    def test_overloaded_only_is_a_no_op_when_feasible(self, diamond_ext):
+        routing = initial_routing(diamond_ext)
+        shed = emergency_shed(
+            diamond_ext, routing, utilization_target=1.0,
+            overloaded_only=True, tolerance=1e-9,
+        )
+        np.testing.assert_array_equal(shed.phi, routing.phi)
+
+    # at 0.38 the scale 1 / peak lands one ulp above 1.0, which only the
+    # tolerance keeps from falling back to bisection
+    @pytest.mark.parametrize("fraction", [0.5, 0.38])
+    def test_overloaded_only_scales_just_the_crossing_commodities(
+        self, fraction
+    ):
+        ext = build_extended_network(figure1_network())
+        routing = initial_routing(ext)
+        for view in ext.commodities:  # admit everything
+            routing.phi[view.index, view.input_edge] = 1.0
+            routing.phi[view.index, view.difference_edge] = 0.0
+        server1 = ext.node_index("server1")  # carries S1 only
+        ext.capacity[ext.node_index("server3")] = 100.0  # shared: now roomy
+        usage = feasibility_report(ext, routing).node_usage[server1]
+        ext.capacity[server1] = fraction * usage
+        peak = feasibility_report(ext, routing).max_utilization
+        shed = emergency_shed(
+            ext, routing, utilization_target=1.0,
+            overloaded_only=True, tolerance=1e-9,
+        )
+        s1, s2 = ext.commodities
+        # load is linear in the admission scale: one step lands on 1.0
+        assert shed.phi[s1.index, s1.input_edge] == 1.0 / peak
+        assert feasibility_report(ext, shed).max_utilization == pytest.approx(
+            1.0, abs=1e-9
+        )
+        np.testing.assert_array_equal(shed.phi[s2.index], routing.phi[s2.index])
+        validate_routing(ext, shed)
+
     def test_rejects_bad_target(self, diamond_ext):
         with pytest.raises(ModelError):
             emergency_shed(diamond_ext, initial_routing(diamond_ext), 0.0)

@@ -13,11 +13,16 @@ Pins the contracts docs/serving.md promises:
   keep serving the last good epoch,
 * a full request queue answers ``overloaded`` (429) immediately,
 * ``shutdown`` drains: every already-accepted request is answered before
-  the socket closes.
+  the socket closes,
+* group commit: the optimizer takes everything queued the moment it is
+  free (up to ``max_batch``), with no batch timer,
+* a refine that overshoots capacity is projected back onto it, so the
+  epoch still publishes.
 """
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import threading
 import time
@@ -26,8 +31,11 @@ import numpy as np
 import pytest
 
 from repro.core.delta import apply_delta, compile_event
+from repro.core.gradient import GradientConfig
+from repro.core.marginals import CostModel
 from repro.core.transform import build_extended_network
 from repro.exceptions import ModelError, ServeError, ServeRequestError
+from repro.obs import NULL_INSTRUMENTATION, Instrumentation
 from repro.online.events import (
     CapacityChange,
     CommodityDeparture,
@@ -35,7 +43,9 @@ from repro.online.events import (
 )
 from repro.online.orchestrator import OnlineOrchestrator
 from repro.online.rebuild import apply_event, apply_scalar_overrides
+from repro.options import SolveOptions
 from repro.serve import (
+    BatchQueue,
     ServeConfig,
     ServeSession,
     ServerThread,
@@ -43,8 +53,16 @@ from repro.serve import (
     plan_batch,
     protocol,
 )
+from repro.serve.batching import PendingEvent
 from repro.serve.client import ServeClient, replay_trace
-from repro.scenarios import ChurnSpec, churn_network, churn_trace, figure1_network
+from repro.scenarios import (
+    SERVE_WEIGHTS,
+    ChurnSpec,
+    churn_network,
+    churn_trace,
+    figure1_network,
+    scenario,
+)
 
 
 def small_network():
@@ -53,7 +71,6 @@ def small_network():
 
 def quick_config(**overrides):
     base = dict(
-        batch_window=0.005,
         max_batch=16,
         refine_iterations=2,
         warmup_iterations=20,
@@ -61,6 +78,47 @@ def quick_config(**overrides):
     )
     base.update(overrides)
     return ServeConfig(**base)
+
+
+class GatedSession:
+    """A real session whose first batch blocks until :meth:`release`.
+
+    Records the events of every batch the daemon cuts, in order, so a test
+    can hold the optimizer busy, queue requests behind it, and see how the
+    next batches are cut.
+    """
+
+    def __init__(self, network):
+        self.session = ServeSession(
+            network, refine_iterations=2, warmup_iterations=20
+        )
+        self.batches = []
+        self._gate = threading.Event()
+        self._process = self.session.process_batch
+        self.session.process_batch = self._gated
+
+    def _gated(self, events):
+        self.batches.append(list(events))
+        if len(self.batches) == 1:
+            self._gate.wait(timeout=30)
+        return self._process(events)
+
+    def release(self):
+        self._gate.set()
+
+    def wait_for_batches(self, count):
+        wait_until(lambda: len(self.batches) >= count)
+
+
+def wait_until(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def rates(batch):
+    return [event.new_rate for event in batch]
 
 
 # ---------------------------------------------------------------- protocol
@@ -332,18 +390,28 @@ class TestServer:
 
     def test_backpressure_answers_overloaded(self):
         network = small_network()
-        config = quick_config(batch_window=0.3, max_batch=2, queue_limit=2)
-        overloaded = 0
-        with ServerThread(network, config=config) as port:
+        name = network.commodities[0].name
+        gated = GatedSession(network)
+        thread = ServerThread(
+            network, config=quick_config(max_batch=2, queue_limit=2),
+            session=gated.session,
+        )
+        port = thread.start()
+        try:
             with ServeClient("127.0.0.1", port) as client:
-                name = network.commodities[0].name
                 ids = [client.send("demand", commodity=name, rate=2.0)
                        for __ in range(12)]
-                for __ in ids:
-                    doc = client.read()
-                    if not doc.get("ok") and doc["error"]["code"] == 429:
-                        overloaded += 1
-        assert overloaded >= 1  # the queue bound talked back
+                # all twelve are read while the optimizer holds its first
+                # batch, so nothing is answered and the bound of two holds
+                wait_until(lambda: thread.server.stats["requests_total"] >= 12)
+                gated.release()
+                docs = [client.read() for __ in ids]
+        finally:
+            gated.release()
+            thread.stop()
+        codes = [doc["error"]["code"] for doc in docs if not doc["ok"]]
+        assert codes == [429] * 10  # the queue bound talked back at once
+        assert all(doc["ok"] for doc in docs[:2])
 
     def test_optimizer_crash_is_503_not_a_hang(self):
         network = small_network()
@@ -406,25 +474,110 @@ class TestServer:
     def test_draining_server_rejects_new_events(self):
         network = small_network()
         name = network.commodities[0].name
-        thread = ServerThread(network, config=quick_config(batch_window=0.2))
+        gated = GatedSession(network)
+        thread = ServerThread(
+            network, config=quick_config(), session=gated.session
+        )
         port = thread.start()
         try:
             with ServeClient("127.0.0.1", port) as client:
                 client.send("demand", commodity=name, rate=2.0)
-                # wait until the daemon has actually read the request, so
-                # the drain below races the *optimizer*, not the socket
-                assert thread.server is not None
-                deadline = time.monotonic() + 30
-                while thread.server.stats["requests_total"] < 1:
-                    assert time.monotonic() < deadline
-                    time.sleep(0.001)
+                # the optimizer holds the event, so the drain below races
+                # the optimizer, not the socket
+                gated.wait_for_batches(1)
                 drainer = threading.Thread(target=thread.stop)
                 drainer.start()
-                doc = client.read()  # the in-flight event still answers
-                assert doc["ok"] is True
+                wait_until(lambda: thread.server._draining)
+                client.send("demand", commodity=name, rate=3.0)
+                wait_until(lambda: thread.server.stats["requests_total"] >= 2)
+                gated.release()
+                in_flight = client.read()  # the in-flight event still answers
+                refused = client.read()
                 drainer.join(timeout=30)
         finally:
+            gated.release()
             thread.stop()
+        assert in_flight["ok"] is True
+        assert refused["ok"] is False
+        assert refused["error"]["code"] == 503
+        assert "draining" in refused["error"]["message"]
+
+
+class TestGroupCommit:
+    def test_collect_takes_what_is_queued_up_to_the_cap(self):
+        async def cut_three_batches():
+            queue = BatchQueue()
+            for k in range(5):
+                assert queue.try_put(
+                    PendingEvent(request=k, event=None, future=None)
+                )
+            return [
+                [pending.request for pending in await queue.collect(2)]
+                for __ in range(3)
+            ]
+
+        assert asyncio.run(cut_three_batches()) == [[0, 1], [2, 3], [4]]
+
+    def test_next_batch_takes_everything_queued_while_busy(self):
+        network = small_network()
+        name = network.commodities[0].name
+        gated = GatedSession(network)
+        thread = ServerThread(
+            network, config=quick_config(), session=gated.session
+        )
+        port = thread.start()
+        try:
+            with ServeClient("127.0.0.1", port) as client:
+                client.send("demand", commodity=name, rate=2.0)  # A
+                gated.wait_for_batches(1)  # an idle daemon cuts A at once
+                client.send("demand", commodity=name, rate=3.0)  # B
+                # longer than any batch timer would hold B's batch open
+                time.sleep(0.05)
+                client.send("demand", commodity=name, rate=4.0)  # C
+                wait_until(lambda: thread.server.stats["requests_total"] >= 3)
+                gated.release()
+                docs = [client.read() for __ in range(3)]
+        finally:
+            gated.release()
+            thread.stop()
+        assert all(doc["ok"] for doc in docs)
+        assert [rates(batch) for batch in gated.batches] == [[2.0], [3.0, 4.0]]
+        # B and C shared one published epoch
+        assert docs[1]["seq"] == docs[2]["seq"] == docs[0]["seq"] + 1
+
+    def test_stage_stamps_count_every_event(self):
+        network = small_network()
+        name = network.commodities[0].name
+        inst = Instrumentation()
+        thread = ServerThread(network, config=quick_config(), instrumentation=inst)
+        port = thread.start()
+        try:
+            with ServeClient("127.0.0.1", port) as client:
+                ids = [client.send("demand", commodity=name, rate=2.0 + k)
+                       for k in range(6)]
+                docs = [client.read() for __ in ids]
+        finally:
+            thread.stop()
+        assert all(doc["ok"] for doc in docs)
+        for stage in ("queue_wait", "session", "write"):
+            histogram = inst.registry.histogram(f"serve.stage.{stage}.seconds")
+            assert histogram.count == len(ids), stage
+            assert min(histogram.samples) >= 0.0
+        assert inst.registry.histogram("serve.request.seconds").count == len(ids)
+
+    def test_stage_stamps_are_off_without_instrumentation(self):
+        network = small_network()
+        name = network.commodities[0].name
+        thread = ServerThread(network, config=quick_config())
+        port = thread.start()
+        try:
+            with ServeClient("127.0.0.1", port) as client:
+                assert client.demand(name, 2.0)["ok"] is True
+            server = thread.server
+        finally:
+            thread.stop()
+        assert server.inst is NULL_INSTRUMENTATION
+        assert len(server._answered_at) == 0  # no stamp was taken
 
 
 # ------------------------------------------------- orchestrator epoch API
@@ -475,3 +628,64 @@ class TestSessionPolicies:
             __, snap = session.process_batch(events[start:start + 4])
             assert snap.validation is not None and snap.validation.passed
         session.close()
+
+
+# ------------------------------------------------ feasible-by-construction
+
+
+class TestFeasiblePublish:
+    """A refine that overshoots capacity is projected back, then published.
+
+    The safeguarded barrier is finite past 0.99 C, so the penalised optimum
+    can sit beyond C and the refine walks there.  Both instances below fail
+    the audit's capacity check without the projection.
+    """
+
+    @staticmethod
+    def serve_mix(eps=0.2, **knobs):
+        catalog = scenario("serve-mix-120")
+        network = catalog.compile().network
+        inst = Instrumentation()
+        options = SolveOptions(
+            method="gradient",
+            config=GradientConfig(eta=0.04, cost_model=CostModel(eps=eps)),
+        )
+        session = ServeSession(network, options, instrumentation=inst, **knobs)
+        return catalog, network, session, inst
+
+    @staticmethod
+    def projections(inst):
+        return inst.registry.counter("serve.post_refine_sheds").value
+
+    def test_warmup_overshoot_is_projected_onto_capacity(self):
+        __, __, session, inst = self.serve_mix(eps=0.01)
+        try:
+            snapshot = session.warmup()  # ends at 1.0114 x C unprojected
+        finally:
+            session.close()
+        assert snapshot.validation.passed
+        assert snapshot.max_utilization == pytest.approx(1.0, abs=1e-9)
+        assert self.projections(inst) == 1
+
+    def test_refine_overshoot_is_projected_onto_capacity(self):
+        catalog, network, session, inst = self.serve_mix(refine_iterations=128)
+        # the first 288 events of the serve benchmark's pinned closed loop
+        events = churn_trace(
+            network,
+            ChurnSpec(num_events=288, weights=dict(SERVE_WEIGHTS)),
+            seed=catalog.seed + 1,
+        )
+        snapshots = []
+        try:
+            session.warmup()
+            for start in range(0, len(events), 32):
+                __, snapshot = session.process_batch(events[start:start + 32])
+                snapshots.append(snapshot)
+        finally:
+            session.close()
+        assert all(snap.validation.passed for snap in snapshots)
+        assert max(snap.max_utilization for snap in snapshots[:-1]) < 0.98
+        # the batch starting at event 256 refines node n50 to 1.0041 x C
+        assert snapshots[-1].epoch == 28
+        assert snapshots[-1].max_utilization == pytest.approx(1.0, abs=1e-9)
+        assert self.projections(inst) == 1
