@@ -4,9 +4,10 @@ The paper's algorithm is built to "adapt to changes" in demand and capacity
 (Sec. V); the delta core (``repro.core.delta``) turns each online event into
 an epoch patch instead of recompiling the world.  This bench replays a mixed
 churn trace on the largest layered workload and times, for every event, the
-incremental path (``compile_event`` + ``apply_delta``, plans spliced) against
-the legacy full rebuild (``apply_event`` + ``build_extended_network``, plans
-rebuilt) -- asserting bit-identity of the resulting models at every step.
+incremental path (``compile_event`` + ``apply_delta`` + ``ModelState.of``)
+against the legacy full rebuild (``apply_event`` + ``build_extended_network``
++ ``ModelState.of``) -- asserting bit-identity of the resulting models, and
+of their compiled ``ModelState`` arrays, at every step.
 
 Timing gates (dedicated bench host only, CHURN_SMOKE=1 drops them):
 
@@ -30,10 +31,11 @@ import time
 from collections import defaultdict
 from pathlib import Path
 
-from conftest import emit
+from conftest import emit, host_context
 
 from repro.analysis import TableBuilder
 from repro.core.delta import apply_delta, compile_event, diff_extended_networks
+from repro.core.state import ModelState
 from repro.core.transform import build_extended_network
 from repro.obs import Instrumentation, write_metrics_json
 from repro.online.rebuild import apply_event
@@ -60,18 +62,6 @@ if CHURN_SMOKE:
 SCENARIO_NAME = "churn-smoke-20" if CHURN_SMOKE else "churn-120"
 
 
-def _force_plans(ext) -> None:
-    ext.flow_plans
-    ext.gamma_plans
-    ext.merged_gamma_plan
-
-
-def _carried_plans(old_ext, new_ext) -> int:
-    """How many of the new epoch's flow plans were remapped, not rebuilt."""
-    old_ids = {id(p.gains) for p in (old_ext._flow_plans or [])}
-    return sum(1 for p in new_ext._flow_plans or [] if id(p.gains) in old_ids)
-
-
 def test_churn_delta_vs_full_rebuild(benchmark):
     compiled = scenario(SCENARIO_NAME).compile()
     network = compiled.network
@@ -80,11 +70,10 @@ def test_churn_delta_vs_full_rebuild(benchmark):
 
     def run_experiment():
         ext = build_extended_network(network)
-        _force_plans(ext)
+        ModelState.of(ext)
         inc_times = defaultdict(list)
         full_times = defaultdict(list)
         compile_times = defaultdict(list)
-        carried_total = 0
         structural_events = 0
         for event in events:
             kind = type(event).__name__
@@ -100,19 +89,19 @@ def test_churn_delta_vs_full_rebuild(benchmark):
 
             if delta.structural:
                 # structural apply leaves the base epoch untouched, so it
-                # can repeat too; every repeat re-splices plans
+                # can repeat too; every repeat splices and compiles anew
                 applies = []
                 for _ in range(REPEATS):
                     t0 = time.perf_counter()
                     applied = apply_delta(ext, delta)
-                    _force_plans(applied.ext)
+                    ModelState.of(applied.ext)
                     applies.append(time.perf_counter() - t0)
                 t_apply = min(applies)
             else:
                 # scalar apply mutates in place (epoch bump): single shot
                 t0 = time.perf_counter()
                 applied = apply_delta(ext, delta)
-                _force_plans(applied.ext)
+                ModelState.of(applied.ext)
                 t_apply = time.perf_counter() - t0
 
             fulls = []
@@ -122,12 +111,12 @@ def test_churn_delta_vs_full_rebuild(benchmark):
                 reference = build_extended_network(
                     result.network, require_connected=False
                 )
-                _force_plans(reference)
+                ModelState.of(reference)
                 fulls.append(time.perf_counter() - t0)
             t_full = min(fulls)
 
             # correctness in every mode: the spliced epoch is bit-identical
-            # to the from-scratch rebuild, plans included
+            # to the from-scratch rebuild, ModelState arrays included
             diffs = diff_extended_networks(
                 applied.ext, reference, compare_plans=True
             )
@@ -135,7 +124,6 @@ def test_churn_delta_vs_full_rebuild(benchmark):
 
             if delta.structural:
                 structural_events += 1
-                carried_total += _carried_plans(ext, applied.ext)
 
             compile_times[kind].append(t_compile)
             inc_times[kind].append(t_compile + t_apply)
@@ -143,18 +131,15 @@ def test_churn_delta_vs_full_rebuild(benchmark):
             ext = applied.ext
 
         assert ext.epoch == len(events)
-        return inc_times, full_times, compile_times, carried_total, structural_events
+        return inc_times, full_times, compile_times, structural_events
 
-    inc_times, full_times, compile_times, carried, structural_events = (
+    inc_times, full_times, compile_times, structural_events = (
         benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     )
 
     # every class the generator can draw showed up in the trace
     assert len(inc_times) == 6, sorted(inc_times)
-    # the splice fast path fired: clean commodities' plans were remapped,
-    # not rebuilt (a broken index map degrades every splice to O(problem))
     assert structural_events > 0
-    assert carried > 0
 
     speedups = {}
     table = TableBuilder(
@@ -210,7 +195,6 @@ def test_churn_delta_vs_full_rebuild(benchmark):
             1e6 * statistics.median(full_times[kind]),
         )
     inst.gauge("speedup_aggregate", aggregate)
-    inst.count("plans.carried", carried)
     inst.count("events.structural", structural_events)
     results_dir = Path(__file__).resolve().parent / "results"
     results_dir.mkdir(exist_ok=True)
@@ -223,6 +207,7 @@ def test_churn_delta_vs_full_rebuild(benchmark):
         num_events=len(events),
         repeats=REPEATS,
         smoke=CHURN_SMOKE,
+        host=host_context(),
     )
 
     if not CHURN_SMOKE:

@@ -60,7 +60,7 @@ SMOKE = os.environ.get("SCALE_SMOKE", "") == "1"
 
 # (num_nodes, num_commodities) rungs; smoke keeps two affordable ones
 RUNGS = [(120, 4), (250, 8)] if SMOKE else [(250, 8), (1000, 16), (4000, 32)]
-WARMUP = 20  # untimed steps per rung: lazy plans, ModelState, first moves
+WARMUP = 20  # untimed steps per rung: the ModelState compile, first moves
 BLOCKS = 9  # timed blocks per rung, alternating between the rungs
 ITERATIONS = 30  # iterations per timed block
 LADDER_SEED = 29

@@ -10,8 +10,9 @@ recompiling the world:
 
 * **Scalar deltas** (``DemandChange``, ``CapacityChange``) touch only
   capacity/rate arrays.  They are applied *in place*: the extended network
-  keeps its identity, every vectorization plan survives untouched, and the
-  epoch counter bumps by one.
+  keeps its identity, its cached :class:`~repro.core.state.ModelState`
+  (which reads no capacity or rate) survives untouched, and the epoch
+  counter bumps by one.
 * **Structural deltas** (``LinkFailure``, ``NodeFailure``,
   ``CommodityArrival``, ``CommodityDeparture``) change the node/edge
   layout.  They produce a *new* ``ExtendedNetwork`` whose layout is built
@@ -20,12 +21,12 @@ recompiling the world:
   bit-identical to a from-scratch rebuild -- but only the *dirty*
   commodities (those the event actually touched, detected by object
   identity on the shared :class:`~repro.core.commodity.Commodity` objects)
-  pay for re-derivation.  Untouched commodities' cost/gain/allowed rows,
-  topological orders, and :class:`CommodityFlowPlan`/
-  :class:`CommodityGammaPlan` structures are *remapped* onto the new index
-  space with vectorized gathers; the merged Gamma plan and the
-  :class:`~repro.core.state.ModelState` then build lazily from the
-  per-commodity plans.
+  pay for re-derivation.  Untouched commodities' cost/gain/allowed rows
+  and topological orders are *remapped* onto the new index space with
+  vectorized gathers.  No compiled form is carried across: the new
+  network's :class:`~repro.core.state.ModelState`, the one compiled form,
+  compiles from scratch in one vectorized pass on first use, which costs
+  less than remapping per-commodity structures would.
 
 Index stability is what makes the remap sound: extended nodes are keyed by
 name and extended edges by ``(kind, physical link)`` or ``(kind, commodity
@@ -55,10 +56,8 @@ import numpy as np
 
 from repro.core.commodity import StreamNetwork
 from repro.core.routing import RoutingState, initial_routing
-from repro.core.state import ModelState, WaveLevel
+from repro.core.state import GammaPlan, ModelState, WaveLevel
 from repro.core.transform import (
-    CommodityFlowPlan,
-    CommodityGammaPlan,
     ExtEdge,
     ExtEdgeKind,
     ExtNode,
@@ -257,8 +256,8 @@ def apply_scalar_patch(
     """Mutate ``ext`` in place per ``patch`` and bump its epoch.
 
     Every derived structure that does not depend on capacities or offered
-    rates (plans, potentials, out-edge lists) survives untouched; the two
-    lazy caches that do depend on them are invalidated.
+    rates (the ``ModelState``, potentials, out-edge lists) survives
+    untouched; the two lazy caches that do depend on them are invalidated.
 
     The patched vectors are *reallocated*, not written through: consumers
     cache loop-invariant derivations keyed on array identity (e.g. the
@@ -312,12 +311,11 @@ def _splice_maps(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Old-index -> new-index node/edge maps against a freshly built skeleton.
 
-    When the old network carries its own skeleton (every network built by
-    :func:`~repro.core.transform.build_extended_network` or by this module
-    does), the translation walks the two skeletons' link/commodity tables
-    directly -- ``O(M + J)`` dict hops, no per-edge key tuples.  Without it
-    (a hand-assembled network), fall back to the generic per-element keying
-    of :func:`build_index_maps`.
+    The edge translation walks the two skeletons' link/commodity tables
+    directly -- ``O(M + J)`` dict hops, no per-edge key tuples.  Every
+    network carries its skeleton: both
+    :func:`~repro.core.transform.build_extended_network` and :func:`_splice`
+    set it.
     """
     # NB: skeleton.name_to_index covers only the physical nodes (it is built
     # before the bandwidth/dummy blocks are laid out); the remap needs every
@@ -330,15 +328,6 @@ def _splice_maps(
     )
 
     old_skel = old._skeleton
-    if old_skel is None:
-        _, new_edge_pos = _key_tables(skeleton.nodes, skeleton.edges, skeleton.views)
-        edge_map = np.fromiter(
-            (new_edge_pos.get(_edge_key(e, old.commodities), -1) for e in old.edges),
-            dtype=np.intp,
-            count=old.num_edges,
-        )
-        return node_map, edge_map
-
     edge_map = np.full(old.num_edges, -1, dtype=np.intp)
     for link, old_idx in old_skel.processing_edge_of.items():
         new_idx = skeleton.processing_edge_of.get(link)
@@ -380,8 +369,6 @@ def _splice(
 
     dirty = set(delta.dirty_commodities)
     old_views = {c.name: c for c in old.commodities}
-    # new commodity index -> old commodity index, for rows carried by remap
-    carried: Dict[int, int] = {}
     for j, commodity in enumerate(network.commodities):
         view = skeleton.views[j]
         old_view = old_views.get(commodity.name)
@@ -413,7 +400,6 @@ def _splice(
         view.topo_order = node_map[
             np.asarray(old_view.topo_order, dtype=np.intp)
         ].tolist()
-        carried[j] = jo
 
     new_ext = ExtendedNetwork(
         nodes=skeleton.nodes,
@@ -432,7 +418,6 @@ def _splice(
     )
     new_ext.epoch = old.epoch + 1
     new_ext._skeleton = skeleton
-    _splice_plans(old, new_ext, carried, node_map, edge_map)
 
     maps = IndexMaps(
         node_map=node_map,
@@ -441,64 +426,6 @@ def _splice(
         identity=False,
     )
     return new_ext, maps
-
-
-def _remap_flow_plan(
-    plan: CommodityFlowPlan, node_map: np.ndarray, edge_map: np.ndarray
-) -> CommodityFlowPlan:
-    # gains/costs/offsets are index-free: share them with the old plan (the
-    # remap is only valid when every element survived in relative order, so
-    # block structure and values are unchanged)
-    return CommodityFlowPlan(
-        edges=np.ascontiguousarray(edge_map[plan.edges]),
-        tails=np.ascontiguousarray(node_map[plan.tails]),
-        heads=np.ascontiguousarray(node_map[plan.heads]),
-        gains=plan.gains,
-        costs=plan.costs,
-        offsets=plan.offsets,
-    )
-
-
-def _remap_gamma_plan(
-    plan: CommodityGammaPlan, node_map: np.ndarray, edge_map: np.ndarray
-) -> CommodityGammaPlan:
-    if plan.nodes.size == 0:
-        return plan
-    return CommodityGammaPlan(
-        nodes=np.ascontiguousarray(node_map[plan.nodes]),
-        edge_matrix=np.where(plan.valid, edge_map[plan.edge_matrix], 0),
-        valid=plan.valid,
-    )
-
-
-def _splice_plans(
-    old: ExtendedNetwork,
-    new: ExtendedNetwork,
-    carried: Dict[int, int],
-    node_map: np.ndarray,
-    edge_map: np.ndarray,
-) -> None:
-    """Carry the per-commodity vectorization plans across the splice.
-
-    Only plans the old network had actually built are carried (building
-    them eagerly would *cost* time on consumers that never iterate).  The
-    merged Gamma plan and the :class:`~repro.core.state.ModelState` rebuild
-    lazily from the per-commodity plans.
-    """
-    if old._flow_plans is not None:
-        new._flow_plans = [
-            _remap_flow_plan(old._flow_plans[carried[j]], node_map, edge_map)
-            if j in carried
-            else new._build_flow_plan(view)
-            for j, view in enumerate(new.commodities)
-        ]
-    if old._gamma_plans is not None:
-        new._gamma_plans = [
-            _remap_gamma_plan(old._gamma_plans[carried[j]], node_map, edge_map)
-            if j in carried
-            else new._build_gamma_plan(view)
-            for j, view in enumerate(new.commodities)
-        ]
 
 
 def carry_routing(
@@ -567,10 +494,10 @@ def diff_extended_networks(
 
     Empty list means the two networks are indistinguishable to every
     consumer: same nodes/edges/views, same arrays, and (with
-    ``compare_plans``) same vectorization plans -- the per-commodity plans,
-    the merged Gamma plan, and the :class:`~repro.core.state.ModelState`
-    arrays (cell list, wave levels, ``gamma_starts``), which are built on
-    both networks if they were not already.  Epochs are deliberately
+    ``compare_plans``) the same compiled form -- every
+    :class:`~repro.core.state.ModelState` array (cell list, wave levels,
+    Gamma rows, ``gamma_starts``), built on both networks if it was not
+    already.  Epochs are deliberately
     not compared -- a spliced network and a from-scratch rebuild of the
     same instance legitimately disagree there.
     """
@@ -631,31 +558,19 @@ def diff_extended_networks(
     if diffs or not compare_plans:
         return diffs
 
-    for j, (pa, pb) in enumerate(zip(a.flow_plans, b.flow_plans)):
-        _diff_arrays(f"flow_plans[{j}].edges", pa.edges, pb.edges, diffs)
-        _diff_arrays(f"flow_plans[{j}].tails", pa.tails, pb.tails, diffs)
-        _diff_arrays(f"flow_plans[{j}].heads", pa.heads, pb.heads, diffs)
-        _diff_arrays(f"flow_plans[{j}].gains", pa.gains, pb.gains, diffs)
-        _diff_arrays(f"flow_plans[{j}].costs", pa.costs, pb.costs, diffs)
-        _diff_arrays(f"flow_plans[{j}].offsets", pa.offsets, pb.offsets, diffs)
-    for j, (ga, gb) in enumerate(zip(a.gamma_plans, b.gamma_plans)):
-        _diff_arrays(f"gamma_plans[{j}].nodes", ga.nodes, gb.nodes, diffs)
-        _diff_arrays(
-            f"gamma_plans[{j}].edge_matrix", ga.edge_matrix, gb.edge_matrix, diffs
-        )
-        _diff_arrays(f"gamma_plans[{j}].valid", ga.valid, gb.valid, diffs)
-    mga, mgb = a.merged_gamma_plan, b.merged_gamma_plan
-    _diff_arrays("merged_gamma_plan.nodes", mga.nodes, mgb.nodes, diffs)
-    _diff_arrays(
-        "merged_gamma_plan.edge_matrix", mga.edge_matrix, mgb.edge_matrix, diffs
-    )
-    _diff_arrays("merged_gamma_plan.valid", mga.valid, mgb.valid, diffs)
     sa, sb = ModelState.of(a), ModelState.of(b)
     for name in (
         "cell_raw", "cell_edges", "cell_tails", "cell_heads", "cell_cost",
         "cell_gain", "cell_g_tail", "cell_g_head", "cell_starts", "gamma_starts",
     ):
         _diff_arrays(f"state.{name}", getattr(sa, name), getattr(sb, name), diffs)
+    for f in fields(GammaPlan):
+        _diff_arrays(
+            f"state.gamma_plan.{f.name}",
+            getattr(sa.gamma_plan, f.name),
+            getattr(sb.gamma_plan, f.name),
+            diffs,
+        )
     for wave in ("forward_levels", "reverse_levels"):
         levels_a, levels_b = getattr(sa, wave), getattr(sb, wave)
         if len(levels_a) != len(levels_b):

@@ -52,7 +52,8 @@ from repro.core.routing import (
     validate_routing,
 )
 from repro.core.solution import Solution, build_solution
-from repro.core.transform import CommodityGammaPlan, ExtendedNetwork
+from repro.core.state import GammaPlan
+from repro.core.transform import ExtendedNetwork
 from repro.exceptions import ConvergenceError
 from repro.obs.instrumentation import NULL_INSTRUMENTATION
 
@@ -153,7 +154,7 @@ def apply_gamma_at_node(
 
 def apply_gamma_batch(
     phi_row: np.ndarray,
-    plan: CommodityGammaPlan,
+    plan: GammaPlan,
     traffic_row: np.ndarray,
     delta: np.ndarray,
     blocked: Optional[np.ndarray],
@@ -167,9 +168,8 @@ def apply_gamma_batch(
     operation mirrors the scalar kernel's, and every per-node sum is an
     ``np.bincount`` over the node's cells, which adds them left to right
     from ``+0.0`` like the scalar accumulator.  The pass runs over the
-    plan's valid cells only (``plan.targets``, row-major), never over the
-    padded matrix.  Nodes update disjoint out-edge sets, so batching over
-    them is exact.
+    rows' cells (``plan.targets``, row-major).  Nodes update disjoint
+    out-edge sets, so batching over them is exact.
 
     Parameters mirror :func:`apply_gamma_at_node`, with ``plan`` replacing
     the per-node ``out`` list and ``traffic_row`` carrying ``t_i(j)`` for

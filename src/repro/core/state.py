@@ -15,6 +15,27 @@ marginal-cost wave (eqs. (9)-(11)) and the resource-usage sum (eq. (4))
 all become ordered ``np.bincount`` sweeps over the ``P`` allowed cells
 with no per-edge (and no per-commodity) Python in the inner loop.
 
+One compiled form
+-----------------
+
+:class:`ModelState` is the only compiled form of an
+:class:`~repro.core.transform.ExtendedNetwork`, and its constructor
+derives every array straight from the network in one vectorized pass over
+all commodities:
+
+* the cells are ``np.nonzero(ext.allowed)``, in ``(j, e)`` order;
+* a cell's scalar visitation position is ``(j, topo rank of its tail,
+  e)``, the rank taken from the commodity view's ``topo_order``;
+* depth and height levels come from one longest-path relaxation each
+  over the nodes the cells touch (:func:`_longest_paths`);
+* the Gamma rows (:class:`GammaPlan`) are a stable sort of the cells by
+  flat tail, keeping every non-sink tail with two or more cells.
+
+Nothing else is compiled, and nothing is carried across epochs: a scalar
+patch keeps the cached instance, and a structural splice
+(:mod:`repro.core.delta`) hands over a new network that compiles afresh
+on first use.
+
 Bit-identity with the scalar walks
 ----------------------------------
 
@@ -86,11 +107,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.transform import CommodityGammaPlan, ExtendedNetwork
+from repro.core.transform import ExtendedNetwork
 
 __all__ = [
     "ModelState",
     "WaveLevel",
+    "GammaPlan",
     "BlockPlans",
     "use_array_core",
 ]
@@ -133,6 +155,24 @@ class WaveLevel:
 
 
 @dataclass(frozen=True)
+class GammaPlan:
+    """The rows the batched update map ``Gamma`` (eqs. (14)-(17)) moves.
+
+    A row is a flat node ``j*V + v`` that is not commodity ``j``'s sink and
+    has at least two allowed out-edges (a single out-edge always carries
+    fraction 1).  Rows ascend by flat id, so they are grouped by commodity.
+    ``targets`` lists every row's out-edges as flat edge ids, row after
+    row, each row's in ascending edge id -- the ``commodity_out_edges``
+    order :func:`repro.core.gradient.apply_gamma_at_node` walks.
+    """
+
+    nodes: np.ndarray  # (N,) flat node ids (j*V + v), ascending
+    targets: np.ndarray  # (C,) flat edge ids (j*E + e), row-major
+    cell_rows: np.ndarray  # (C,) row of each target, ascending
+    row_starts: np.ndarray  # (N,) first target of each row
+
+
+@dataclass(frozen=True)
 class BlockPlans:
     """Precomputed restriction of a :class:`ModelState` to rows ``[lo, hi)``.
 
@@ -142,8 +182,8 @@ class BlockPlans:
     ``cell_level`` names the block reverse level of each of the block's
     cells (every cell sits in exactly one), which lets the tag flood skip
     the levels below the first improper cell.  ``gamma_plan`` is the
-    contiguous row-block of the merged Gamma plan (``None`` when the block
-    has no branch nodes).
+    contiguous row-block of :attr:`ModelState.gamma_plan` (``None`` when the
+    block has no branch nodes).
     """
 
     lo: int
@@ -153,7 +193,24 @@ class BlockPlans:
     cell_lo: int
     cell_hi: int
     cell_level: np.ndarray
-    gamma_plan: Optional[CommodityGammaPlan]
+    gamma_plan: Optional[GammaPlan]
+
+
+def _longest_paths(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Longest path, in cells, from a root of the ``src -> dst`` cells to each
+    of the ``n`` nodes (0 at a root).
+
+    The relaxation reaches its fixpoint after as many rounds as the longest
+    path has cells, because every commodity subgraph is a DAG
+    (:func:`repro.core.transform._fill_commodity_row` checks it).
+    """
+    dist = np.zeros(n, dtype=np.intp)
+    while True:
+        reach = dist[src] + 1
+        grow = reach > dist[dst]
+        if not grow.any():
+            return dist
+        np.maximum.at(dist, dst[grow], reach[grow])
 
 
 def _level_split(keys: np.ndarray) -> List[Tuple[int, int]]:
@@ -171,10 +228,10 @@ class ModelState:
 
     Obtain via :meth:`ModelState.of` -- the instance is cached on the
     network.  The structure depends only on the network's *topology* (the
-    allowed edge sets, plans, gains and costs), which never mutates in
-    place: scalar patches touch capacities/rates only and structural
-    events splice a brand-new network, so an id-keyed cache is safe across
-    epochs.
+    allowed edge sets, topological orders, gains and costs), which never
+    mutates in place: scalar patches touch capacities/rates only and
+    structural events splice a brand-new network, so the cache is safe
+    across epochs.
     """
 
     def __init__(self, ext: ExtendedNetwork) -> None:
@@ -185,134 +242,104 @@ class ModelState:
         self.num_nodes = V
         self.edge_tail = ext.edge_tail
 
-        plans = ext.flow_plans
-
         # -- cell list: every allowed (j, e), ordered by (j, e) ----------------
-        cell_parts_e: List[np.ndarray] = []
-        for j in range(J):
-            cell_parts_e.append(np.asarray(ext.commodity_edge_arrays[j], dtype=np.intp))
-        cell_counts = np.array([part.size for part in cell_parts_e], dtype=np.intp)
-        raw_cells = (
-            np.concatenate(cell_parts_e) if cell_parts_e else np.empty(0, dtype=np.intp)
+        cell_j, raw = np.nonzero(ext.allowed)
+        tail, head = ext.edge_tail[raw], ext.edge_head[raw]
+        self.cell_raw = raw
+        self.cell_edges = cell_j * E + raw
+        self.cell_tails = cell_j * V + tail
+        self.cell_heads = cell_j * V + head
+        self.cell_cost = ext.cost[cell_j, raw]
+        self.cell_gain = ext.gain[cell_j, raw]
+        self.cell_g_tail = ext.node_potentials[cell_j, tail]
+        self.cell_g_head = ext.node_potentials[cell_j, head]
+        self.cell_starts = np.searchsorted(cell_j, np.arange(J + 1))
+        self.num_cells = int(raw.size)
+
+        # -- levels ------------------------------------------------------------
+        # every node a cell touches, numbered by its position in the
+        # commodity-major concatenation of the topological orders
+        topo = np.concatenate(
+            [np.asarray(v.topo_order, dtype=np.intp) + j * V
+             for j, v in enumerate(ext.commodities)]
         )
-        cell_j = np.repeat(np.arange(J, dtype=np.intp), cell_counts)
-        self.cell_raw = raw_cells
-        self.cell_edges = cell_j * E + raw_cells
-        self.cell_tails = cell_j * V + ext.edge_tail[raw_cells]
-        self.cell_heads = cell_j * V + ext.edge_head[raw_cells]
-        self.cell_cost = np.ascontiguousarray(ext.cost[cell_j, raw_cells])
-        self.cell_gain = np.ascontiguousarray(ext.gain[cell_j, raw_cells])
-        self.cell_g_tail = np.ascontiguousarray(
-            ext.node_potentials[cell_j, ext.edge_tail[raw_cells]]
+        rank = np.empty(J * V, dtype=np.intp)
+        rank[topo] = np.arange(topo.size)
+        tail_rank, head_rank = rank[self.cell_tails], rank[self.cell_heads]
+        depth = _longest_paths(tail_rank, head_rank, topo.size)
+        height = _longest_paths(head_rank, tail_rank, topo.size)
+        self.forward_levels = self._levels(
+            depth[head_rank], tail_rank, cell_j, by_head=True
         )
-        self.cell_g_head = np.ascontiguousarray(
-            ext.node_potentials[cell_j, ext.edge_head[raw_cells]]
+        self.reverse_levels = self._levels(
+            height[tail_rank], tail_rank, cell_j, by_head=False
         )
-        self.cell_starts = np.concatenate(
-            ([0], np.cumsum(cell_counts))
-        ).astype(np.intp)
-        self.num_cells = int(self.cell_edges.size)
 
-        # position of a flat edge in the cell list (for the tag flood)
-        cell_lookup = np.full(J * E, -1, dtype=np.intp)
-        cell_lookup[self.cell_edges] = np.arange(self.num_cells, dtype=np.intp)
-
-        # -- depth levelling ---------------------------------------------------
-        fwd_rows: List[Tuple[np.ndarray, ...]] = []
-        rev_rows: List[Tuple[np.ndarray, ...]] = []
-        for j in range(J):
-            plan = plans[j]
-            p = plan.edges.size
-            if p == 0:
-                continue
-            depth = np.zeros(V, dtype=np.intp)
-            height = np.zeros(V, dtype=np.intp)
-            offsets = plan.offsets
-            nblocks = len(offsets) - 1
-            for b in range(nblocks):
-                s, e = offsets[b], offsets[b + 1]
-                np.maximum.at(depth, plan.heads[s:e], depth[plan.tails[s:e]] + 1)
-            for b in range(nblocks - 1, -1, -1):
-                s, e = offsets[b], offsets[b + 1]
-                np.maximum.at(height, plan.tails[s:e], height[plan.heads[s:e]] + 1)
-            pos = np.arange(p, dtype=np.intp)
-            j_col = np.full(p, j, dtype=np.intp)
-            fwd_rows.append(
-                (depth[plan.heads], j_col, pos, plan.edges, plan.tails, plan.heads,
-                 plan.gains, plan.costs)
-            )
-            rev_rows.append(
-                (height[plan.tails], j_col, pos, plan.edges, plan.tails, plan.heads,
-                 plan.gains, plan.costs)
-            )
-
-        def build_levels(rows: List[Tuple[np.ndarray, ...]], by_head: bool):
-            if not rows:
-                return ()
-            key = np.concatenate([r[0] for r in rows])
-            j_col = np.concatenate([r[1] for r in rows])
-            pos = np.concatenate([r[2] for r in rows])
-            edges = np.concatenate([r[3] for r in rows])
-            tails = np.concatenate([r[4] for r in rows])
-            heads = np.concatenate([r[5] for r in rows])
-            gains = np.concatenate([r[6] for r in rows])
-            costs = np.concatenate([r[7] for r in rows])
-            order = np.lexsort((pos, j_col, key))
-            key, j_col = key[order], j_col[order]
-            edges, tails, heads = edges[order], tails[order], heads[order]
-            gains, costs = gains[order], costs[order]
-            flat_edges = j_col * E + edges
-            flat_tails = j_col * V + tails
-            flat_heads = j_col * V + heads
-            levels = []
-            j_range = np.arange(J + 1, dtype=np.intp)
-            for s, e in _level_split(key):
-                scatter = flat_heads[s:e] if by_head else flat_tails[s:e]
-                nodes, rows = np.unique(scatter, return_inverse=True)
-                levels.append(
-                    WaveLevel(
-                        nodes=nodes,
-                        rows=rows,
-                        edges=flat_edges[s:e],
-                        raw=edges[s:e],
-                        tails=flat_tails[s:e],
-                        heads=flat_heads[s:e],
-                        gains=np.ascontiguousarray(gains[s:e]),
-                        costs=np.ascontiguousarray(costs[s:e]),
-                        cell_pos=cell_lookup[flat_edges[s:e]],
-                        entry_starts=np.searchsorted(j_col[s:e], j_range).astype(
-                            np.intp
-                        ),
-                        node_starts=np.searchsorted(nodes // V, j_range).astype(
-                            np.intp
-                        ),
-                    )
-                )
-            return tuple(levels)
-
-        self.forward_levels = build_levels(fwd_rows, by_head=True)
-        self.reverse_levels = build_levels(rev_rows, by_head=False)
-
-        # merged Gamma plan row boundaries per commodity (rows are appended
-        # in commodity order by _build_merged_gamma_plan)
-        gamma_counts = np.array(
-            [ext.gamma_plans[j].nodes.size for j in range(J)], dtype=np.intp
+        # -- Gamma rows: each commodity's non-sink nodes with >= 2 cells -------
+        by_tail = np.argsort(self.cell_tails, kind="stable")
+        tails = self.cell_tails[by_tail]
+        first = np.flatnonzero(np.diff(tails, prepend=-1))
+        size = np.diff(first, append=tails.size)
+        node = tails[first]
+        sinks = np.array(
+            [v.sink + j * V for j, v in enumerate(ext.commodities)], dtype=np.intp
         )
-        self.gamma_starts = np.concatenate(([0], np.cumsum(gamma_counts))).astype(
-            np.intp
+        is_row = (size >= 2) & (node != sinks[node // V])
+        row_size = size[is_row]
+        self.gamma_plan = GammaPlan(
+            nodes=node[is_row],
+            targets=self.cell_edges[by_tail[np.repeat(is_row, size)]],
+            cell_rows=np.repeat(np.arange(row_size.size), row_size),
+            row_starts=np.cumsum(row_size) - row_size,
+        )
+        self.gamma_starts = np.searchsorted(
+            self.gamma_plan.nodes // V, np.arange(J + 1)
         )
 
         self._blocks: Dict[Tuple[int, int], BlockPlans] = {}
+
+    def _levels(
+        self, key: np.ndarray, tail_rank: np.ndarray, cell_j: np.ndarray, by_head: bool
+    ) -> Tuple[WaveLevel, ...]:
+        """Split the cells into waves by ``key``: within a level, entries in
+        scalar visitation order ``(j, topo rank of tail, e)``."""
+        # tail ranks are commodity-major, and the stable sort keeps the
+        # cells' (j, e) order among a tail's out-edges
+        order = np.lexsort((tail_rank, key))
+        key, j_col = key[order], cell_j[order]
+        edges, raw = self.cell_edges[order], self.cell_raw[order]
+        tails, heads = self.cell_tails[order], self.cell_heads[order]
+        gains, costs = self.cell_gain[order], self.cell_cost[order]
+        j_range = np.arange(self.num_commodities + 1)
+        levels = []
+        for s, e in _level_split(key):
+            nodes, rows = np.unique(
+                heads[s:e] if by_head else tails[s:e], return_inverse=True
+            )
+            levels.append(
+                WaveLevel(
+                    nodes=nodes,
+                    rows=rows,
+                    edges=edges[s:e],
+                    raw=raw[s:e],
+                    tails=tails[s:e],
+                    heads=heads[s:e],
+                    gains=gains[s:e],
+                    costs=costs[s:e],
+                    cell_pos=order[s:e],
+                    entry_starts=np.searchsorted(j_col[s:e], j_range),
+                    node_starts=np.searchsorted(nodes // self.num_nodes, j_range),
+                )
+            )
+        return tuple(levels)
 
     # -- construction / caching ----------------------------------------------------
     @classmethod
     def of(cls, ext: ExtendedNetwork) -> "ModelState":
         """The (cached) array state of ``ext``; builds on first use."""
-        state = getattr(ext, "_model_state", None)
-        if state is None:
-            state = cls(ext)
-            ext._model_state = state
-        return state
+        if ext._model_state is None:
+            ext._model_state = cls(ext)
+        return ext._model_state
 
     # -- full-width kernels ----------------------------------------------------------
     def solve_traffic_into(self, t_flat: np.ndarray, phi_flat: np.ndarray) -> None:
@@ -372,7 +399,8 @@ class ModelState:
 
     # -- row-block kernels (the worker pool's shards) -----------------------------------
     def block(self, lo: int, hi: int) -> BlockPlans:
-        """The cached restriction of every plan to commodities ``[lo, hi)``."""
+        """The cached restriction of every level and of the Gamma rows to
+        commodities ``[lo, hi)``."""
         key = (lo, hi)
         plans = self._blocks.get(key)
         if plans is not None:
@@ -408,13 +436,15 @@ class ModelState:
             cell_level[level[8]] = k
 
         g0, g1 = int(self.gamma_starts[lo]), int(self.gamma_starts[hi])
-        gamma_plan: Optional[CommodityGammaPlan] = None
+        gamma_plan: Optional[GammaPlan] = None
         if g1 > g0:
-            merged = self.ext.merged_gamma_plan
-            gamma_plan = CommodityGammaPlan(
-                nodes=merged.nodes[g0:g1],
-                edge_matrix=merged.edge_matrix[g0:g1],
-                valid=merged.valid[g0:g1],
+            full = self.gamma_plan
+            t0, t1 = np.searchsorted(full.cell_rows, [g0, g1])
+            gamma_plan = GammaPlan(
+                nodes=full.nodes[g0:g1],
+                targets=full.targets[t0:t1],
+                cell_rows=full.cell_rows[t0:t1] - g0,
+                row_starts=full.row_starts[g0:g1] - t0,
             )
 
         plans = BlockPlans(

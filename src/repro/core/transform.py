@@ -22,6 +22,10 @@ thereby *exactly* a routing decision at ``s̄_j``.
 
 Bookkeeping check (paper, Section 3): a graph with ``N`` nodes, ``M`` edges
 and ``J`` commodities yields ``N + M + J`` nodes and ``2M + 2J`` edges.
+
+This module builds the graph and its per-commodity tables only.  The
+iterative solvers run on one compiled form of it,
+:class:`repro.core.state.ModelState`, which compiles on first use.
 """
 
 from __future__ import annotations
@@ -43,8 +47,6 @@ Edge = Tuple[str, str]
 __all__ = [
     "ExtNodeKind",
     "ExtEdgeKind",
-    "CommodityFlowPlan",
-    "CommodityGammaPlan",
     "ExtendedNetwork",
     "ExtSkeleton",
     "build_extended_network",
@@ -107,66 +109,6 @@ class CommodityView:
     edge_indices: List[int] = field(default_factory=list)  # allowed edges, incl. dummy
     node_indices: List[int] = field(default_factory=list)  # touched nodes
     topo_order: List[int] = field(default_factory=list)  # nodes, sources first
-
-
-@dataclass(frozen=True)
-class CommodityFlowPlan:
-    """Topo-level CSR structure of one commodity's allowed edges.
-
-    The flat arrays list the commodity's edges in exactly the order the
-    scalar flow solve visits them (nodes in topological order, each node's
-    out-edges in its ``commodity_out_edges`` order).  ``offsets`` partitions
-    that sequence into *blocks*: within a block no edge's tail is the head of
-    an earlier edge of the same block, and blocks never split a node's
-    out-edge list.  :class:`repro.core.state.ModelState` is built from these
-    plans: the scalar order fixes its within-level entry order, and one
-    pass over the blocks (forward, then backward) gives every node its
-    depth and height levels.  The delta splice carries the plans across
-    structural events (:mod:`repro.core.delta`).
-    """
-
-    edges: np.ndarray  # (P,) edge ids, scalar iteration order
-    tails: np.ndarray  # (P,) tail node per edge
-    heads: np.ndarray  # (P,) head node per edge
-    gains: np.ndarray  # (P,) gain[j, edge]
-    costs: np.ndarray  # (P,) cost[j, edge]
-    offsets: np.ndarray  # (B + 1,) block boundaries into the flat arrays
-
-
-@dataclass(frozen=True)
-class CommodityGammaPlan:
-    """Padded per-node out-edge matrix for the batched update map ``Gamma``.
-
-    Covers exactly the nodes the synchronous engine updates: non-sink nodes
-    of the commodity subgraph with at least two allowed out-edges (a single
-    out-edge always carries fraction 1).  Row ``n`` of ``edge_matrix`` holds
-    node ``nodes[n]``'s out-edge ids in ``commodity_out_edges`` order, padded
-    with 0 where ``valid`` is False.  The padded matrix is the stored form
-    (the delta splice remaps it); the ``Gamma`` kernel only ever touches
-    the valid cells, through the flat lists derived below.
-
-    The *merged* plan (:attr:`ExtendedNetwork.merged_gamma_plan`) reuses this
-    structure with flattened cross-commodity ids (node ``j*V + v``, edge
-    ``j*E + e``) so one kernel call covers every commodity at once.
-    """
-
-    nodes: np.ndarray  # (N,) node ids
-    edge_matrix: np.ndarray  # (N, K) edge ids, 0-padded
-    valid: np.ndarray  # (N, K) bool
-    # derived, filled in __post_init__ and cached because the Gamma kernel
-    # runs every iteration: the valid cells in row-major order (the kernel's
-    # working form), each cell's row, and each row's first cell
-    targets: np.ndarray = None  # (C,) == edge_matrix[valid]
-    cell_rows: np.ndarray = None  # (C,) row of each valid cell, ascending
-    row_starts: np.ndarray = None  # (N,) first cell of each row
-
-    def __post_init__(self):
-        cell_rows = np.nonzero(self.valid)[0]
-        object.__setattr__(self, "targets", self.edge_matrix[self.valid])
-        object.__setattr__(self, "cell_rows", cell_rows)
-        object.__setattr__(
-            self, "row_starts", np.searchsorted(cell_rows, np.arange(self.nodes.size))
-        )
 
 
 class ExtendedNetwork:
@@ -268,13 +210,6 @@ class ExtendedNetwork:
         # marginal costs must be compared in *source-equivalent* units.
         self.node_potentials = self._compute_node_potentials()
 
-        # vectorization plans, built on first use (many consumers of the
-        # extended network never run the iterative solvers)
-        self._flow_plans: Optional[List[CommodityFlowPlan]] = None
-        self._gamma_plans: Optional[List[CommodityGammaPlan]] = None
-        self._commodity_edge_arrays: Optional[List[np.ndarray]] = None
-        self._merged_gamma_plan: Optional[CommodityGammaPlan] = None
-
         # the canonical layout this network was built from; set by
         # build_extended_network and the delta splicer.  The splicer reads
         # it to translate old indices into the new layout through the
@@ -290,117 +225,16 @@ class ExtendedNetwork:
         self._commodity_rows: Optional[np.ndarray] = None
         self._utility_at_max: Optional[np.ndarray] = None
         self._linear_utility_weights: Any = False
+        # the compiled form every kernel runs (repro.core.state.ModelState),
+        # built on first use: many consumers never iterate
+        self._model_state: Any = None
 
     @property
-    def flow_plans(self) -> List[CommodityFlowPlan]:
-        """Per-commodity topo-level CSR plans: :class:`ModelState`'s input."""
-        if self._flow_plans is None:
-            self._flow_plans = [self._build_flow_plan(c) for c in self.commodities]
-        return self._flow_plans
+    def merged_gamma_plan(self) -> Any:
+        """``ModelState.of(self).gamma_plan``, under the name perfbench reads."""
+        from repro.core.state import ModelState
 
-    @property
-    def gamma_plans(self) -> List[CommodityGammaPlan]:
-        """Per-commodity padded out-edge matrices for the batched ``Gamma``."""
-        if self._gamma_plans is None:
-            self._gamma_plans = [self._build_gamma_plan(c) for c in self.commodities]
-        return self._gamma_plans
-
-    @property
-    def commodity_edge_arrays(self) -> List[np.ndarray]:
-        """``view.edge_indices`` of each commodity as an int array."""
-        if self._commodity_edge_arrays is None:
-            self._commodity_edge_arrays = [
-                np.asarray(c.edge_indices, dtype=np.intp) for c in self.commodities
-            ]
-        return self._commodity_edge_arrays
-
-    @property
-    def merged_gamma_plan(self) -> CommodityGammaPlan:
-        """All commodities' ``Gamma`` rows in one flat-indexed plan."""
-        if self._merged_gamma_plan is None:
-            self._merged_gamma_plan = self._build_merged_gamma_plan()
-        return self._merged_gamma_plan
-
-    def _build_merged_gamma_plan(self) -> CommodityGammaPlan:
-        plans = self.gamma_plans
-        E, V = self.num_edges, self.num_nodes
-        rows = sum(p.nodes.size for p in plans)
-        width = max((p.edge_matrix.shape[1] for p in plans if p.nodes.size), default=0)
-        nodes = np.empty(rows, dtype=np.intp)
-        edge_matrix = np.zeros((rows, width), dtype=np.intp)
-        valid = np.zeros((rows, width), dtype=bool)
-        at = 0
-        for j, plan in enumerate(plans):
-            n, k = plan.edge_matrix.shape
-            if n == 0:
-                continue
-            nodes[at : at + n] = plan.nodes + j * V
-            edge_matrix[at : at + n, :k] = np.where(
-                plan.valid, plan.edge_matrix + j * E, 0
-            )
-            valid[at : at + n, :k] = plan.valid
-            at += n
-        return CommodityGammaPlan(nodes=nodes, edge_matrix=edge_matrix, valid=valid)
-
-    def _build_flow_plan(self, view: "CommodityView") -> CommodityFlowPlan:
-        j = view.index
-        out_lists = self.commodity_out_edges[j]
-        flat: List[int] = []
-        offsets: List[int] = [0]
-        block_heads: set = set()
-        for node in view.topo_order:
-            out = out_lists[node]
-            if not out:
-                continue
-            if node in block_heads:
-                # this node's traffic was updated inside the current block;
-                # its out-edges must wait for the next gather
-                offsets.append(len(flat))
-                block_heads = set()
-            flat.extend(out)
-            block_heads.update(int(self.edge_head[e]) for e in out)
-        offsets.append(len(flat))
-
-        edges = np.asarray(flat, dtype=np.intp)
-        tails = self.edge_tail[edges] if edges.size else np.empty(0, dtype=np.intp)
-        heads = self.edge_head[edges] if edges.size else np.empty(0, dtype=np.intp)
-        gains = self.gain[j, edges] if edges.size else np.empty(0, dtype=float)
-        costs = self.cost[j, edges] if edges.size else np.empty(0, dtype=float)
-        return CommodityFlowPlan(
-            edges=edges,
-            tails=np.asarray(tails, dtype=np.intp),
-            heads=np.asarray(heads, dtype=np.intp),
-            gains=np.asarray(gains, dtype=float),
-            costs=np.asarray(costs, dtype=float),
-            offsets=np.asarray(offsets, dtype=np.intp),
-        )
-
-    def _build_gamma_plan(self, view: "CommodityView") -> CommodityGammaPlan:
-        j = view.index
-        out_lists = self.commodity_out_edges[j]
-        nodes = [
-            node
-            for node in view.node_indices
-            if node != view.sink and len(out_lists[node]) >= 2
-        ]
-        if not nodes:
-            return CommodityGammaPlan(
-                nodes=np.empty(0, dtype=np.intp),
-                edge_matrix=np.empty((0, 0), dtype=np.intp),
-                valid=np.empty((0, 0), dtype=bool),
-            )
-        width = max(len(out_lists[node]) for node in nodes)
-        edge_matrix = np.zeros((len(nodes), width), dtype=np.intp)
-        valid = np.zeros((len(nodes), width), dtype=bool)
-        for row, node in enumerate(nodes):
-            out = out_lists[node]
-            edge_matrix[row, : len(out)] = out
-            valid[row, : len(out)] = True
-        return CommodityGammaPlan(
-            nodes=np.asarray(nodes, dtype=np.intp),
-            edge_matrix=edge_matrix,
-            valid=valid,
-        )
+        return ModelState.of(self).gamma_plan
 
     def _compute_node_potentials(self) -> np.ndarray:
         g = np.ones((self.num_commodities, self.num_nodes), dtype=float)

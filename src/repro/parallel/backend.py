@@ -132,12 +132,12 @@ class SerialBackend:
                 blocked = None
         else:
             blocked = None
-        # one kernel call for every commodity: the merged plan's flattened
+        # one kernel call for every commodity: the plan's flattened
         # (j*V + v, j*E + e) ids index the raveled views below
         with inst.phase("gamma"):
             apply_gamma_batch(
                 new_phi.reshape(-1),
-                ext.merged_gamma_plan,
+                ModelState.of(ext).gamma_plan,
                 context.traffic.reshape(-1),
                 delta.reshape(-1),
                 blocked,
@@ -279,10 +279,9 @@ class ParallelBackend(SerialBackend):
                 "GradientAlgorithm(..., backend=...) or call bind(ext, config)"
             )
         ext = self._ext
-        # build the ModelState and the merged Gamma plan once on the master
-        # so the pickled network the workers receive already carries them
+        # build the ModelState once on the master so the pickled network
+        # the workers receive already carries it
         ModelState.of(ext)
-        _ = ext.merged_gamma_plan
         shm = SharedArraySet()
         try:
             self._shards = _split_shards(ext.num_commodities, self.workers)
@@ -375,9 +374,8 @@ class ParallelBackend(SerialBackend):
             # nothing published yet: the pool starts lazily on the new epoch
             return
         if applied.structural:
-            # build the plans before pickling, as _ensure_started does
+            # build the ModelState before pickling, as _ensure_started does
             ModelState.of(ext)
-            _ = ext.merged_gamma_plan
             shm = self._shm
             shapes = _segment_shapes(ext)
             dirty = [

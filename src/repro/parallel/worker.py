@@ -96,7 +96,7 @@ def _refresh_worker(payload: Tuple[str, Any, Optional[ArraySpec], int]) -> None:
     ``payload`` is ``(kind, data, specs, epoch)``: ``kind == "patch"``
     applies a :class:`~repro.core.delta.ScalarPatch` to the worker's own
     network copy; ``kind == "ext"`` replaces it with the freshly pickled
-    successor (its plans already built by the master).  When ``specs`` is
+    successor (its ``ModelState`` already built by the master).  When ``specs`` is
     given the shared-memory layout changed: drop every old mapping and
     re-attach -- unchanged segments resolve to the same blocks, replaced
     ones to their successors.  The closing barrier guarantees exactly-once

@@ -181,7 +181,7 @@ class RebuildStepReport:
     epoch: int
     structural: bool
     dropped_commodities: Tuple[str, ...]
-    model_diffs: List[str]  # bit-level diffs incl. every vectorization plan
+    model_diffs: List[str]  # bit-level diffs incl. every ModelState array
     routing_identical: bool
     routing_valid: bool
 
@@ -523,12 +523,13 @@ class DifferentialOracle:
         ``apply_delta`` (epoch-versioned, incremental), one through
         :func:`repro.online.rebuild.apply_event` + a full
         :func:`build_extended_network`.  After every event the two models
-        must be **bit-identical** down to each vectorization plan
+        must be **bit-identical** down to each compiled
+        :class:`~repro.core.state.ModelState` array
         (:func:`repro.core.delta.diff_extended_networks` with
         ``compare_plans=True``), the carried routing states must match
         exactly, and the routing must validate.  ``gradient_steps``
         iterations run after each event on both timelines, so any latent
-        divergence in the spliced plans would surface as differing
+        divergence in the spliced network would surface as differing
         iterates.
 
         This is the extension-point contract promised in docs/validation.md
@@ -552,8 +553,6 @@ class DifferentialOracle:
         cfg = config or calibrated_gradient_config()
 
         ext_inc = build_extended_network(stream_network)
-        # force every lazy plan so the splice path has something to carry
-        _ = ext_inc.flow_plans, ext_inc.gamma_plans, ext_inc.merged_gamma_plan
         net_ref = stream_network
         ext_ref = build_extended_network(stream_network)
         routing_inc = initial_routing(ext_inc)

@@ -22,8 +22,10 @@ from repro.core.delta import (
     compile_event,
     diff_extended_networks,
 )
+from repro.core import delta as delta_module
 from repro.core.gradient import GradientAlgorithm, GradientConfig
 from repro.core.routing import initial_routing, validate_routing
+from repro.core.state import ModelState
 from repro.exceptions import ModelError
 from repro.online import (
     CapacityChange,
@@ -38,7 +40,13 @@ from repro.online import rebuild as rebuild_module
 from repro.parallel.backend import ParallelBackend
 from repro.validate import DifferentialOracle
 from repro.validate.strategies import event_sequences
-from repro.scenarios import ChurnSpec, churn_network, churn_trace, figure1_network
+from repro.scenarios import (
+    ChurnSpec,
+    churn_network,
+    churn_trace,
+    figure1_network,
+    scenario,
+)
 
 
 def _interior_node(network):
@@ -86,15 +94,15 @@ class TestEpochSemantics:
     def test_scalar_delta_mutates_in_place(self):
         net = figure1_network()
         ext = build_extended_network(net)
-        plans = ext.flow_plans  # force the lazy plans
+        state = ModelState.of(ext)
         delta = compile_event(ext, DemandChange(1, commodity="S1", new_rate=20.0))
         assert not delta.structural
         applied = apply_delta(ext, delta)
         assert applied.ext is ext
         assert ext.epoch == 1
         assert applied.maps.identity
-        # the vectorization plans survive untouched
-        assert ext.flow_plans is plans
+        # the compiled form depends on the topology only: it survives
+        assert ModelState.of(ext) is state
         j = ext.commodity_view("S1").index
         assert ext.lam[j] == pytest.approx(20.0)
 
@@ -153,6 +161,37 @@ class TestBitIdentityPerEvent:
         )
         diffs = diff_extended_networks(applied.ext, reference, compare_plans=True)
         assert diffs == [], diffs
+
+
+class TestEngineOnSplicedEpochs:
+    """``compare_reference`` only sees from-scratch networks, but a spliced
+    epoch's levels come from remapped topological orders: hold the engine
+    to the scalar walks there too."""
+
+    def test_steps_match_reference_after_every_splice(self):
+        compiled = scenario("churn-smoke-20").compile()
+        ext = build_extended_network(compiled.network)
+        algo = GradientAlgorithm(ext, GradientConfig())
+        routing = initial_routing(ext)
+        for _ in range(30):  # put traffic inside the network first
+            routing = algo.step(routing)
+        spliced = 0
+        for event in compiled.events:
+            applied = apply_delta(ext, compile_event(ext, event))
+            routing = carry_routing(ext, routing, applied.ext, applied.maps)
+            ext = applied.ext
+            if not applied.structural:
+                continue
+            spliced += 1
+            algo = GradientAlgorithm(ext, GradientConfig())
+            reference = routing
+            for k in range(3):
+                routing = algo.step(routing)
+                reference = algo.step_reference(reference)
+                assert np.array_equal(routing.phi, reference.phi), (
+                    f"{type(event).__name__} at epoch {ext.epoch}, step {k}"
+                )
+        assert spliced == 5
 
 
 class TestCarryRouting:
@@ -315,30 +354,29 @@ class TestSharing:
         assert result.network.commodity("S2") is net.commodity("S2")
         assert result.network.commodity("S1") is not net.commodity("S1")
 
-    def test_splice_carries_clean_plans_by_reference(self):
-        # the structural fast path must *remap* clean commodities' plans,
-        # not rebuild them: the index-free plan arrays (gains, valid) are
-        # shared with the old epoch's plans.  Pins the fast path actually
-        # firing -- a silently broken index map degrades every splice to
-        # full re-derivation (correct but O(problem), see _splice_maps).
+    def test_departure_rederives_no_commodity(self, monkeypatch):
+        # the structural fast path must *remap* the clean commodities' rows,
+        # not re-derive them.  Pins the fast path actually firing -- a
+        # silently broken index map degrades every splice to full
+        # re-derivation (correct but O(problem), see _splice_maps).
         net = churn_network(num_nodes=20, num_commodities=3, seed=5)
         ext = build_extended_network(net)
-        ext.flow_plans
-        ext.gamma_plans
         gone = net.commodities[-1].name
-        applied = apply_delta(
-            ext, compile_event(ext, CommodityDeparture(1, commodity=gone))
-        )
-        assert applied.ext._flow_plans is not None
-        assert applied.ext._gamma_plans is not None
-        for view in applied.ext.commodities:
-            jo = ext.commodity_view(view.name).index
-            assert applied.ext._flow_plans[view.index].gains is (
-                ext._flow_plans[jo].gains
-            )
-            assert applied.ext._gamma_plans[view.index].valid is (
-                ext._gamma_plans[jo].valid
-            )
+        delta = compile_event(ext, CommodityDeparture(1, commodity=gone))
+        derived = []
+        real = delta_module._fill_commodity_row
+
+        def spy(j, commodity, *args):
+            derived.append(commodity.name)
+            return real(j, commodity, *args)
+
+        monkeypatch.setattr(delta_module, "_fill_commodity_row", spy)
+        applied = apply_delta(ext, delta)
+        assert derived == []
+        reference = build_extended_network(delta.network, require_connected=False)
+        assert diff_extended_networks(
+            applied.ext, reference, compare_plans=True
+        ) == []
 
 
 class TestIndexMaps:

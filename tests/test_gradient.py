@@ -13,6 +13,7 @@ from repro.core.gradient import (
     apply_gamma_batch,
 )
 from repro.core.optimal import arc_flows_to_routing, solve_lp
+from repro.core.state import ModelState
 from repro.core.routing import (
     initial_routing,
     feasibility_report,
@@ -306,48 +307,62 @@ class TestVectorizedStep:
     @staticmethod
     def _check_batch_matches_scalar(ext, shift, name):
         rng = np.random.default_rng(42 + shift)
-        for j in range(ext.num_commodities):
-            plan = ext.gamma_plans[j]
-            if plan.nodes.size == 0:
+        state = ModelState.of(ext)
+        J, E, V = ext.num_commodities, ext.num_edges, ext.num_nodes
+        for j in range(J):
+            # commodity j's rows carry flat ids (j*V + v, j*E + e): the
+            # kernel runs on (J, E) / (J, V) tables filled in row j only
+            plan = state.block(j, j + 1).gamma_plan
+            if plan is None:
                 continue
-            phi = np.zeros(ext.num_edges)
-            for node in plan.nodes:
+            nodes = plan.nodes - j * V
+            phi = np.zeros((J, E))
+            for node in nodes:
                 out = ext.commodity_out_edges[j][node]
                 w = rng.random(len(out)) + 1e-9
-                phi[out] = w / w.sum()
-            traffic_row = rng.random(ext.num_nodes) * 10.0
-            delta = rng.random(ext.num_edges) * 5.0
-            blocked = rng.random(ext.num_edges) < 0.15
-            for k, node in enumerate(plan.nodes):
+                phi[j, out] = w / w.sum()
+            traffic = np.zeros((J, V))
+            delta = np.zeros((J, E))
+            blocked = np.zeros((J, E), dtype=bool)
+            traffic[j] = rng.random(V) * 10.0
+            delta[j] = rng.random(E) * 5.0
+            blocked[j] = rng.random(E) < 0.15
+            for k, node in enumerate(nodes):
                 out = ext.commodity_out_edges[j][node]
                 case = (k + shift) % 7
                 if case == 1:
-                    delta[out[-1]] = delta[out[0]] = delta[out].min()
+                    delta[j, out[-1]] = delta[j, out[0]] = delta[j, out].min()
                 elif case == 2:
-                    delta[out] = 1.5
+                    delta[j, out] = 1.5
                 elif case == 3:
-                    delta[out] = np.inf
+                    delta[j, out] = np.inf
                 elif case == 4:
-                    blocked[out] = True
+                    blocked[j, out] = True
                 elif case == 5:
-                    traffic_row[node] = 0.0
+                    traffic[j, node] = 0.0
                 elif case == 6:
-                    phi[out] *= 1.0 + 1e-9
+                    phi[j, out] *= 1.0 + 1e-9
             # the kernel has a separate path for "nothing blocked"
             for mask in (blocked, None):
                 phi_batch, phi_scalar = phi.copy(), phi.copy()
                 # both kernels form inf - inf on the all-+inf rows
                 with np.errstate(invalid="ignore"):
                     apply_gamma_batch(
-                        phi_batch, plan, traffic_row, delta, mask, 0.08, 1e-12
+                        phi_batch.reshape(-1),
+                        plan,
+                        traffic.reshape(-1),
+                        delta.reshape(-1),
+                        None if mask is None else mask.reshape(-1),
+                        0.08,
+                        1e-12,
                     )
-                    for node in plan.nodes:
+                    for node in nodes:
                         apply_gamma_at_node(
-                            phi_scalar,
-                            traffic_row[node],
+                            phi_scalar[j],
+                            traffic[j, node],
                             ext.commodity_out_edges[j][node],
-                            delta,
-                            mask,
+                            delta[j],
+                            None if mask is None else mask[j],
                             0.08,
                             1e-12,
                         )

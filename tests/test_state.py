@@ -217,7 +217,7 @@ def test_wide_fixture_has_pairwise_width_rows(wide_random_ext):
     state = ModelState.of(wide_random_ext)
     for levels in (state.forward_levels, state.reverse_levels):
         assert max(np.bincount(lv.rows).max() for lv in levels) >= 8
-    assert np.bincount(wide_random_ext.merged_gamma_plan.cell_rows).max() >= 8
+    assert np.bincount(state.gamma_plan.cell_rows).max() >= 8
 
 
 class TestEndToEndIdentity:
