@@ -5,7 +5,7 @@ The paper's algorithm is built to "adapt to changes" in demand and capacity
 an epoch patch instead of recompiling the world.  This bench replays a mixed
 churn trace on the largest layered workload and times, for every event, the
 incremental path (``compile_event`` + ``apply_delta`` + ``ModelState.of``)
-against the legacy full rebuild (``apply_event`` + ``build_extended_network``
+against a from-scratch rebuild (``apply_event`` + ``build_extended_network``
 + ``ModelState.of``) -- asserting bit-identity of the resulting models, and
 of their compiled ``ModelState`` arrays, at every step.
 

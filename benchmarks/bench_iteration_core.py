@@ -25,7 +25,7 @@ from conftest import emit
 from repro import build_extended_network
 from repro.obs import Instrumentation, write_metrics_json
 from repro.analysis import TableBuilder
-from repro.core.gradient import GradientAlgorithm, GradientConfig
+from repro.core.gradient import GradientAlgorithm, GradientConfig, IterationRecord
 from repro.core.marginals import evaluate_cost
 from repro.core.routing import initial_routing, resource_usage, solve_traffic_scalar
 from repro.scenarios import random_stream_network
@@ -105,7 +105,7 @@ class _CachedPipeline:
         for _ in range(iterations):
             self.routing = algo.step(self.routing, context=self.context)
             self.context = algo.compute_context(self.routing)
-            algo._record(0, self.context)
+            IterationRecord.from_context(0, self.context, algo.ext.capacity)
             self.trajectory.append(self.routing.phi.copy())
         return time.perf_counter() - start
 

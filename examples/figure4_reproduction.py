@@ -36,7 +36,8 @@ def main() -> None:
     ext = build_extended_network(network)
     print(f"workload: {network}")
     print(f"extended: {ext}")
-    print(f"offered rates: {[f'{l:.1f}' for l in ext.lam]}")
+    offered = [f"{rate:.1f}" for rate in ext.commodity_max_rates]
+    print(f"offered rates: {offered}")
 
     optimum = solve_lp(ext)
     print(f"\noptimal total throughput (LP): {optimum.utility:.3f}")

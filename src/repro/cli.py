@@ -26,7 +26,7 @@ Examples
     python -m repro validate model.json --method optimal --strict
     python -m repro validate --self-test                  # fault injection
     python -m repro figure4 --seed 7
-    python -m repro serve model.json --port 7471 --workers 2 --staleness 4
+    python -m repro serve model.json --port 7471
     python -m repro serve --nodes 120 --commodities 12 --max-batch 32
     python -m repro serve --scenario serve-smoke-30
     python -m repro scenario list --json
@@ -428,10 +428,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         min_admit_rate=args.min_admit_rate,
     )
     options = SolveOptions(
-        method="gradient",
-        config=GradientConfig(eta=args.step_size),
-        workers=args.workers,
-        staleness=args.staleness,
+        method="gradient", config=GradientConfig(eta=args.step_size)
     )
     inst = Instrumentation() if args.metrics_out else None
 
@@ -696,12 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="revert arrivals whose admitted rate stays below RATE",
     )
     srv.add_argument("--step-size", type=float, default=0.04)
-    srv.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="run warm-up and refine batches on an N-process pool "
-        "(N >= 2 needs --staleness)",
-    )
-    srv.add_argument("--staleness", type=int, default=None, metavar="K")
     srv.add_argument(
         "--metrics-out", default=None,
         help="write the repro.metrics/1 document here on shutdown",

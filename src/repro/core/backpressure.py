@@ -160,7 +160,7 @@ class BackpressureAlgorithm:
         self.pair_tail_potential = potentials[self.pair_j, self.pair_tail]
 
         self.source_nodes = np.array([v.source for v in ext.commodities], dtype=int)
-        self.lam = ext.lam.copy()
+        self.lam = ext.commodity_max_rates.copy()
 
         # neighbour pairs whose buffer levels are exchanged each iteration
         neighbour_pairs = {

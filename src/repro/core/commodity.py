@@ -19,6 +19,7 @@ user-supplied per-edge gain table for consistency instead.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -145,6 +146,20 @@ class Commodity:
         self.costs: Dict[Edge, float] = {e: float(costs[e]) for e in self.edges}
 
         self._check_dag_and_reachability()
+
+    def with_max_rate(self, rate: float) -> "Commodity":
+        """This commodity at offered rate ``rate``, as a value copy.
+
+        The copy shares the DAG, potentials and costs: a rate change moves
+        no edge, so nothing is re-derived.
+        """
+        if not rate > 0:
+            raise ValidationError(
+                f"commodity {self.name!r}: max_rate must be > 0, got {rate}"
+            )
+        clone = copy.copy(self)
+        clone.max_rate = float(rate)
+        return clone
 
     # -- derived quantities ------------------------------------------------------
     def gain(self, tail: str, head: str) -> float:

@@ -50,7 +50,7 @@ asserts bit-identity at every step (see docs/online.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,6 +75,7 @@ __all__ = [
     "IndexMaps",
     "AppliedDelta",
     "compile_event",
+    "compile_scalar_run",
     "apply_delta",
     "apply_scalar_patch",
     "build_index_maps",
@@ -213,38 +214,76 @@ def build_index_maps(old: ExtendedNetwork, new: ExtendedNetwork) -> IndexMaps:
 def compile_event(ext: ExtendedNetwork, event: Any) -> ProblemDelta:
     """Compile ``event`` into a delta against ``ext``'s current epoch.
 
-    Delegates the stream-network surgery to
-    :func:`repro.online.rebuild.apply_event` (the legacy full-rebuild path,
-    kept as the oracle reference) and detects the dirty commodity set by
-    object identity: ``apply_event`` shares every commodity object the
-    event does not touch.
+    A scalar event (``DemandChange``, ``CapacityChange``) is a run of one
+    for :func:`compile_scalar_run`.  A structural event delegates the
+    stream-network surgery to :func:`repro.online.rebuild.apply_event` and
+    detects the dirty commodity set by object identity: ``apply_event``
+    shares every commodity object the event does not touch.
     """
     # local imports: repro.online imports this module at load time
     from repro.online.events import CapacityChange, DemandChange
     from repro.online.rebuild import apply_event
 
+    if isinstance(event, (DemandChange, CapacityChange)):
+        return compile_scalar_run(ext, [event], event)
     result = apply_event(ext.stream_network, event)
     old_ids = {id(c) for c in ext.stream_network.commodities}
     dirty = tuple(
         c.name for c in result.network.commodities if id(c) not in old_ids
     )
-
-    scalar: Optional[ScalarPatch] = None
-    if isinstance(event, DemandChange):
-        j = ext.commodity_view(event.commodity).index
-        scalar = ScalarPatch(commodity_rate=((j, event.new_rate),))
-    elif isinstance(event, CapacityChange):
-        scalar = ScalarPatch(
-            node_capacity=((ext.node_index(event.node), event.new_capacity),)
-        )
-
     return ProblemDelta(
         base_epoch=ext.epoch,
         event=event,
         network=result.network,
         dropped_commodities=tuple(result.dropped_commodities),
         dirty_commodities=dirty,
-        scalar=scalar,
+    )
+
+
+def compile_scalar_run(
+    ext: ExtendedNetwork, events: Sequence[Any], label: Any
+) -> ProblemDelta:
+    """One scalar delta for a run of ``DemandChange``/``CapacityChange``.
+
+    The run's values merge last-write-wins into one
+    :class:`ScalarPatch` -- its entries are absolute, so the merged patch
+    leaves the model exactly where applying the run one event at a time
+    would -- and the post-run stream network is a value copy
+    (:func:`repro.online.rebuild.apply_scalar_overrides`).  Unknown names
+    and sink capacities raise :class:`~repro.exceptions.ModelError`.
+    ``label`` becomes the delta's ``event``.
+    """
+    from repro.online.events import DemandChange
+    from repro.online.rebuild import apply_scalar_overrides
+
+    rates: Dict[str, float] = {}
+    capacities: Dict[str, float] = {}
+    for event in events:
+        if isinstance(event, DemandChange):
+            rates[event.commodity] = event.new_rate
+        else:
+            capacities[event.node] = event.new_capacity
+    network = apply_scalar_overrides(
+        ext.stream_network, rates=rates, capacities=capacities
+    )
+    patch = ScalarPatch(
+        node_capacity=tuple(
+            sorted((ext.node_index(node), cap) for node, cap in capacities.items())
+        ),
+        commodity_rate=tuple(
+            sorted(
+                (ext.commodity_view(name).index, rate)
+                for name, rate in rates.items()
+            )
+        ),
+    )
+    return ProblemDelta(
+        base_epoch=ext.epoch,
+        event=label,
+        network=network,
+        dropped_commodities=(),
+        dirty_commodities=(),
+        scalar=patch,
     )
 
 
@@ -270,11 +309,9 @@ def apply_scalar_patch(
             ext.nodes[idx] = replace(ext.nodes[idx], capacity=cap)
             ext.capacity[idx] = cap
     if patch.commodity_rate:
-        ext.lam = ext.lam.copy()
         ext.commodity_max_rates = ext.commodity_max_rates.copy()
         for j, rate in patch.commodity_rate:
             ext.commodities[j].max_rate = rate
-            ext.lam[j] = rate
             ext.commodity_max_rates[j] = rate
     if patch.commodity_rate:
         # external inputs scale with lambda; utility-at-max is U_j(lambda_j)
@@ -546,7 +583,9 @@ def diff_extended_networks(
             f"commodity count {a.num_commodities} != {b.num_commodities}"
         )
     _diff_arrays("capacity", a.capacity, b.capacity, diffs)
-    _diff_arrays("lam", a.lam, b.lam, diffs)
+    _diff_arrays(
+        "commodity_max_rates", a.commodity_max_rates, b.commodity_max_rates, diffs
+    )
     _diff_arrays("cost", a.cost, b.cost, diffs)
     _diff_arrays("gain", a.gain, b.gain, diffs)
     _diff_arrays("allowed", a.allowed, b.allowed, diffs)

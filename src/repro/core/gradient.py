@@ -323,6 +323,21 @@ class IterationRecord:
     max_utilization: float
     admitted: np.ndarray
 
+    @classmethod
+    def from_context(
+        cls, iteration: int, context: IterationContext, capacity: np.ndarray
+    ) -> "IterationRecord":
+        """The record of an iterate, from its context and the node budgets."""
+        breakdown = context.breakdown
+        util = utilization_profile(context.node_usage, capacity)
+        return cls(
+            iteration=iteration,
+            cost=breakdown.total,
+            utility=breakdown.utility,
+            max_utilization=float(util.max()) if util.size else 0.0,
+            admitted=breakdown.admitted.copy(),
+        )
+
 
 @dataclass
 class GradientResult(RunResultMixin):
@@ -369,10 +384,9 @@ class GradientAlgorithm:
     def refresh(self, applied) -> None:
         """Advance the bound model one epoch.
 
-        ``applied`` is a :class:`repro.core.delta.AppliedDelta`.  The
-        execution backend republishes only what the delta dirtied -- in
-        particular a :class:`repro.parallel.ParallelBackend` keeps its
-        worker pool alive across the refresh.
+        ``applied`` is a :class:`repro.core.delta.AppliedDelta`.  A
+        :class:`repro.parallel.ParallelBackend` closes its worker pool here
+        and restarts it on the new epoch at its next batch.
         """
         self.ext = applied.ext
         self.backend.refresh(applied)
@@ -499,7 +513,7 @@ class GradientAlgorithm:
         # flow balance is solved exactly once per iteration.
         context = self.compute_context(routing, instrumentation=instrumentation)
         history: List[IterationRecord] = []
-        record = self._record(0, context)
+        record = IterationRecord.from_context(0, context, ext.capacity)
         history.append(record)
         self._observe(inst, record)
         if callback:
@@ -554,7 +568,7 @@ class GradientAlgorithm:
                 else:
                     eta = min(eta * cfg.eta_growth, eta_ceiling)
             if iteration % cfg.record_every == 0 or iteration == cfg.max_iterations:
-                record = self._record(iteration, context)
+                record = IterationRecord.from_context(iteration, context, ext.capacity)
                 history.append(record)
                 self._observe(inst, record)
                 if callback:
@@ -570,7 +584,7 @@ class GradientAlgorithm:
             previous_cost = cost
 
         if history[-1].iteration != iterations_done:
-            record = self._record(iterations_done, context)
+            record = IterationRecord.from_context(iterations_done, context, ext.capacity)
             history.append(record)
             self._observe(inst, record)
 
@@ -623,16 +637,4 @@ class GradientAlgorithm:
             cost=record.cost,
             utility=record.utility,
             max_utilization=record.max_utilization,
-        )
-
-    def _record(self, iteration: int, context: IterationContext) -> IterationRecord:
-        breakdown = context.breakdown
-        util = utilization_profile(context.node_usage, self.ext.capacity)
-        max_util = float(util.max()) if util.size else 0.0
-        return IterationRecord(
-            iteration=iteration,
-            cost=breakdown.total,
-            utility=breakdown.utility,
-            max_utilization=max_util,
-            admitted=breakdown.admitted.copy(),
         )

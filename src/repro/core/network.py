@@ -134,6 +134,12 @@ class PhysicalNetwork:
         self._links[link.key] = link
         return link
 
+    def set_capacity(self, name: str, capacity: float) -> None:
+        """Give processing node ``name`` the compute budget ``capacity``."""
+        if self.node(name).is_sink:
+            raise ModelError("sinks have no capacity to change")
+        self._nodes[name] = Node(name, NodeKind.PROCESSING, float(capacity))
+
     # -- accessors -------------------------------------------------------------
     @property
     def nodes(self) -> Dict[str, Node]:

@@ -157,7 +157,7 @@ def _solution_from_flows(
     iterations: Optional[int] = None,
 ) -> Solution:
     admitted = y[problem.admitted_columns].copy()
-    admitted = np.minimum(admitted, ext.lam)
+    admitted = np.minimum(admitted, ext.commodity_max_rates)
     utility = float(
         sum(
             view.utility.value(float(admitted[view.index]))

@@ -162,7 +162,6 @@ class ExtendedNetwork:
         self.capacity = np.array([n.capacity for n in nodes], dtype=float)
         self.edge_tail = np.array([e.tail for e in edges], dtype=int)
         self.edge_head = np.array([e.head for e in edges], dtype=int)
-        self.lam = np.array([c.max_rate for c in commodities], dtype=float)
 
         self.out_edges: List[List[int]] = [[] for _ in range(self.num_nodes)]
         self.in_edges: List[List[int]] = [[] for _ in range(self.num_nodes)]

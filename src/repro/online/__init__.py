@@ -6,6 +6,7 @@ node or link failures") measurable: replay event timelines against the
 running algorithm and quantify recovery.
 """
 
+from repro.core.delta import carry_routing
 from repro.online.events import (
     CapacityChange,
     CommodityArrival,
@@ -25,7 +26,6 @@ from repro.online.rebuild import (
     RebuildResult,
     apply_event,
     emergency_shed,
-    remap_routing,
 )
 
 __all__ = [
@@ -42,6 +42,6 @@ __all__ = [
     "RecoveryReport",
     "RebuildResult",
     "apply_event",
+    "carry_routing",
     "emergency_shed",
-    "remap_routing",
 ]

@@ -11,8 +11,8 @@ each event it
 2. carries the routing state across at the array level
    (:func:`repro.core.delta.carry_routing`) -- a *warm start*, exercising
    the paper's claim that reserved headroom speeds up recovery,
-3. optionally applies :func:`emergency_shed` so hard capacities hold
-   immediately, and
+3. applies :func:`emergency_shed` so hard capacities hold immediately,
+   and
 4. refreshes the execution backend (``algo.refresh``), then keeps
    iterating, recording the utility trajectory and, per event, how many
    iterations the algorithm needs to re-enter 95% of the *new* optimum.
@@ -20,14 +20,8 @@ each event it
 The orchestrator steps one iteration at a time (events land between
 iterations), so it runs the serial engine; the batched-staleness worker
 pool, which only runs multi-iteration ``advance`` batches, has nothing to
-do here.
-
-``incremental=False`` selects the legacy full-rebuild path
-(:func:`repro.online.rebuild.apply_event` + a from-scratch
-:func:`build_extended_network` + a fresh algorithm binding); it is kept as
-the oracle reference the delta path is validated against
-(``repro.validate.DifferentialOracle.compare_rebuild``) and produces
-bit-identical trajectories.
+do here.  ``repro.validate.DifferentialOracle.compare_rebuild`` checks the
+delta path against from-scratch rebuilds, bit for bit.
 
 A cold-start comparison (fresh shed-everything routing after each event) is
 available via ``warm_start=False``; the recovery benchmark contrasts the
@@ -54,7 +48,7 @@ from repro.core.transform import build_extended_network
 from repro.exceptions import ModelError
 from repro.obs.instrumentation import NULL_INSTRUMENTATION
 from repro.online.events import NetworkEvent
-from repro.online.rebuild import apply_event, emergency_shed, remap_routing
+from repro.online.rebuild import emergency_shed
 
 __all__ = ["OnlineRecord", "RecoveryReport", "OnlineResult", "OnlineOrchestrator"]
 
@@ -81,9 +75,7 @@ class RecoveryReport:
     new_optimal_utility: float
     iterations_to_95: Optional[int]  # iterations after the event
     dropped_commodities: List[str] = field(default_factory=list)
-    # model epoch after the event (0 on the legacy full-rebuild path, which
-    # rebuilds from scratch and therefore restarts the version counter)
-    epoch: int = 0
+    epoch: int = 0  # model epoch after the event
 
     @property
     def utility_dip(self) -> float:
@@ -147,9 +139,7 @@ class OnlineOrchestrator:
         events: Sequence[NetworkEvent],
         config: Optional[GradientConfig] = None,
         warm_start: bool = True,
-        shed_on_event: bool = True,
         record_every: int = 10,
-        incremental: bool = True,
         backend=None,
         options=None,
     ) -> None:
@@ -187,9 +177,7 @@ class OnlineOrchestrator:
             backend = options.backend
         self.config = config or GradientConfig()
         self.warm_start = warm_start
-        self.shed_on_event = shed_on_event
         self.record_every = record_every
-        self.incremental = incremental
         # a caller-supplied backend instance is borrowed (the caller closes
         # it); the default serial one is owned
         self._backend = backend
@@ -226,9 +214,7 @@ class OnlineOrchestrator:
     def current_epoch(self) -> int:
         """The model epoch after the most recently applied event.
 
-        ``0`` before :meth:`run` starts and on the legacy full-rebuild path
-        (``incremental=False``), which rebuilds from scratch and restarts
-        the version counter.
+        ``0`` before :meth:`run` starts.
         """
         return self._epoch
 
@@ -253,7 +239,6 @@ class OnlineOrchestrator:
     def _run(
         self, total_iterations: int, inst, instrumentation, backend, ext
     ) -> OnlineResult:
-        network = self.initial_network
         algo = GradientAlgorithm(ext, self.config, backend=backend)
         routing = initial_routing(ext)
 
@@ -306,49 +291,27 @@ class OnlineOrchestrator:
                 event_name = type(event).__name__
                 with inst.phase("rebuild", event=event_name):
                     old_ext = ext
-                    if self.incremental:
-                        with inst.phase("rebuild.delta.compile", event=event_name):
-                            delta = compile_event(ext, event)
-                        with inst.phase("rebuild.delta.apply", event=event_name):
-                            applied = apply_delta(ext, delta)
-                        ext = applied.ext
-                        self._epoch = int(ext.epoch)
-                        network = ext.stream_network
-                        dropped = list(delta.dropped_commodities)
-                        if self.warm_start:
-                            routing = carry_routing(
-                                old_ext, routing, ext, applied.maps
-                            )
-                            if self.shed_on_event:
-                                routing = emergency_shed(ext, routing)
-                        else:
-                            routing = initial_routing(ext)
-                        algo.refresh(applied)
-                        inst.count("rebuild.delta.applied")
-                        inst.count(f"rebuild.delta.{event_name}")
-                        inst.count(
-                            "rebuild.delta.structural"
-                            if applied.structural
-                            else "rebuild.delta.scalar"
-                        )
-                        inst.gauge("rebuild.epoch", float(ext.epoch))
+                    with inst.phase("rebuild.delta.compile", event=event_name):
+                        delta = compile_event(ext, event)
+                    with inst.phase("rebuild.delta.apply", event=event_name):
+                        applied = apply_delta(ext, delta)
+                    ext = applied.ext
+                    self._epoch = int(ext.epoch)
+                    dropped = list(delta.dropped_commodities)
+                    if self.warm_start:
+                        routing = carry_routing(old_ext, routing, ext, applied.maps)
+                        routing = emergency_shed(ext, routing)
                     else:
-                        rebuilt = apply_event(network, event)
-                        network = rebuilt.network
-                        ext = build_extended_network(
-                            network, require_connected=False
-                        )
-                        dropped = rebuilt.dropped_commodities
-                        self._epoch = int(ext.epoch)
-                        if self.warm_start:
-                            routing = remap_routing(old_ext, routing, ext)
-                            if self.shed_on_event:
-                                routing = emergency_shed(ext, routing)
-                        else:
-                            routing = initial_routing(ext)
-                        algo = GradientAlgorithm(
-                            ext, self.config, backend=backend
-                        )
+                        routing = initial_routing(ext)
+                    algo.refresh(applied)
+                    inst.count("rebuild.delta.applied")
+                    inst.count(f"rebuild.delta.{event_name}")
+                    inst.count(
+                        "rebuild.delta.structural"
+                        if applied.structural
+                        else "rebuild.delta.scalar"
+                    )
+                    inst.gauge("rebuild.epoch", float(ext.epoch))
 
                 with inst.phase("reference_optimum"):
                     new_optimum = solve_optimal(ext).utility

@@ -1,6 +1,6 @@
-"""Apply network events and carry the routing state across the rebuild.
+"""Apply network events to the stream network, and shed load after them.
 
-Three jobs:
+Two jobs:
 
 * :func:`apply_event` -- produce a *new* :class:`StreamNetwork` reflecting a
   demand change, capacity change, link/node failure, or commodity
@@ -8,13 +8,8 @@ Three jobs:
   (and reported): their traffic simply cannot be served any more.  Commodity
   objects untouched by the event are *shared* with the input network, which
   is what lets the delta compiler (:mod:`repro.core.delta`) detect the dirty
-  set by object identity.
-* :func:`remap_routing` -- translate a routing state from the old extended
-  graph onto the new one via the array-level remap of
-  :func:`repro.core.delta.carry_routing`: surviving edges keep their
-  fractions (renormalised per node where mass was lost), nodes with no
-  surviving information fall back to the shed-everything default, so the
-  result is always a valid routing decision.
+  set by object identity.  The routing state crosses the event through
+  :func:`repro.core.delta.carry_routing`.
 * :func:`emergency_shed` -- after a capacity-reducing event the carried
   routing may oversubscribe surviving nodes.  This scales every commodity's
   admission down (moving the surplus onto the dummy difference link -- the
@@ -31,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.commodity import Commodity, StreamNetwork
-from repro.core.delta import build_index_maps, carry_routing
 from repro.core.network import NodeKind, PhysicalNetwork
 from repro.core.routing import RoutingState, feasibility_report, solve_traffic
 from repro.core.transform import ExtendedNetwork
@@ -52,7 +46,6 @@ __all__ = [
     "RebuildResult",
     "apply_event",
     "apply_scalar_overrides",
-    "remap_routing",
     "emergency_shed",
 ]
 
@@ -71,11 +64,9 @@ def _copy_physical(
     source: PhysicalNetwork,
     drop_nodes: Optional[set] = None,
     drop_links: Optional[set] = None,
-    capacity_overrides: Optional[Dict[str, float]] = None,
 ) -> PhysicalNetwork:
     drop_nodes = drop_nodes or set()
     drop_links = drop_links or set()
-    capacity_overrides = capacity_overrides or {}
     new = PhysicalNetwork()
     for node in source.nodes.values():
         if node.name in drop_nodes:
@@ -83,9 +74,7 @@ def _copy_physical(
         if node.kind is NodeKind.SINK:
             new.add_sink(node.name)
         else:
-            new.add_server(
-                node.name, capacity_overrides.get(node.name, node.capacity)
-            )
+            new.add_server(node.name, node.capacity)
     for link in source.links.values():
         if link.key in drop_links:
             continue
@@ -96,9 +85,7 @@ def _copy_physical(
 
 
 def _rebuild_commodity(
-    commodity: Commodity,
-    physical: PhysicalNetwork,
-    new_rate: Optional[float] = None,
+    commodity: Commodity, physical: PhysicalNetwork
 ) -> Optional[Commodity]:
     """Re-derive a commodity on a (possibly reduced) physical network.
 
@@ -115,7 +102,7 @@ def _rebuild_commodity(
             name=commodity.name,
             source=commodity.source,
             sink=commodity.sink,
-            max_rate=new_rate if new_rate is not None else commodity.max_rate,
+            max_rate=commodity.max_rate,
             edges=surviving,
             potentials={
                 n: commodity.potentials[n]
@@ -135,49 +122,34 @@ def apply_scalar_overrides(
     rates: Optional[Dict[str, float]] = None,
     capacities: Optional[Dict[str, float]] = None,
 ) -> StreamNetwork:
-    """The post-run network for a merged run of scalar events, in one pass.
+    """The post-run network for a run of scalar events, in one pass.
 
     Equivalent to chaining the corresponding :class:`DemandChange` /
-    :class:`CapacityChange` events through :func:`apply_event` with
-    last-write-wins values -- scalar events cannot change topology, so only
-    the final value per target matters -- but pays one physical copy and
-    one rebuild per *touched commodity* instead of one full surgery per
-    event.  The serve daemon's batch coalescing
-    (:func:`repro.serve.batching.merge_scalar_run`) rides this.
+    :class:`CapacityChange` events with last-write-wins values: scalar
+    events cannot change topology, so only the final value per target
+    matters.  A new rate is a value copy of its commodity
+    (:meth:`~repro.core.commodity.Commodity.with_max_rate`) and a new
+    capacity one replaced node on a copy of the physical network; every
+    other object is shared and nothing is re-derived.  Both scalar
+    branches of :func:`apply_event` and the delta compiler's scalar runs
+    (:func:`repro.core.delta.compile_scalar_run`) come through here.
 
-    Raises :class:`~repro.exceptions.ModelError` on unknown names, sink
-    capacity changes, or a commodity made unservable by its final rate --
-    the same failures the chained path reports.
+    Raises :class:`~repro.exceptions.ModelError` on unknown names and sink
+    capacity changes.
     """
     rates = rates or {}
     capacities = capacities or {}
     for name in rates:
         network.commodity(name)  # raises on unknown name
-    for node in capacities:
-        if node not in network.physical.nodes:
-            raise ModelError(f"unknown node {node!r}")
-        if network.physical.node(node).is_sink:
-            raise ModelError("sinks have no capacity to change")
-    physical = (
-        _copy_physical(network.physical, capacity_overrides=dict(capacities))
-        if capacities
-        else network.physical
-    )
-    commodities: List[Commodity] = []
-    for commodity in network.commodities:
-        if commodity.name not in rates:
-            # commodities never reference node capacities: share the object
-            commodities.append(commodity)
-            continue
-        fresh = _rebuild_commodity(
-            commodity, physical, new_rate=rates[commodity.name]
-        )
-        if fresh is None:
-            raise ModelError(
-                f"commodity {commodity.name!r} became unservable under a "
-                "pure demand change; the topology should be unchanged"
-            )
-        commodities.append(fresh)
+    physical = network.physical
+    if capacities:
+        physical = physical.copy()
+        for node, capacity in capacities.items():
+            physical.set_capacity(node, capacity)  # raises on unknown/sink
+    commodities = [
+        c.with_max_rate(rates[c.name]) if c.name in rates else c
+        for c in network.commodities
+    ]
     return StreamNetwork(physical=physical, commodities=commodities)
 
 
@@ -185,43 +157,21 @@ def apply_event(network: StreamNetwork, event: NetworkEvent) -> RebuildResult:
     """Return the post-event model; never mutates the input network.
 
     Commodities the event does not touch are carried over as the *same*
-    objects (no deep copy, no re-derivation): a ``DemandChange`` rebuilds
-    only its target, a ``CapacityChange`` rebuilds nothing (commodities do
-    not reference node capacities), failures rebuild only the commodities
-    whose subgraph contains the failed element.  The delta compiler keys
-    its dirty-set detection off exactly this sharing.
+    objects (no deep copy, no re-derivation): a ``DemandChange`` copies
+    only its target at the new rate, a ``CapacityChange`` shares every
+    commodity (commodities do not reference node capacities), failures
+    rebuild only the commodities whose subgraph contains the failed
+    element.  The delta compiler keys its dirty-set detection off exactly
+    this sharing.
     """
     if isinstance(event, DemandChange):
-        target = network.commodity(event.commodity)  # raises on unknown name
-        physical = network.physical
-        commodities: List[Commodity] = []
-        for commodity in network.commodities:
-            if commodity is not target:
-                commodities.append(commodity)
-                continue
-            fresh = _rebuild_commodity(commodity, physical, new_rate=event.new_rate)
-            if fresh is None:
-                raise ModelError(
-                    f"commodity {commodity.name!r} became unservable under a "
-                    "pure demand change; the topology should be unchanged"
-                )
-            commodities.append(fresh)
-        return RebuildResult(
-            StreamNetwork(physical=physical, commodities=commodities), []
-        )
+        rates = {event.commodity: event.new_rate}
+        return RebuildResult(apply_scalar_overrides(network, rates=rates), [])
 
     if isinstance(event, CapacityChange):
-        if event.node not in network.physical.nodes:
-            raise ModelError(f"unknown node {event.node!r}")
-        if network.physical.node(event.node).is_sink:
-            raise ModelError("sinks have no capacity to change")
-        physical = _copy_physical(
-            network.physical, capacity_overrides={event.node: event.new_capacity}
-        )
-        # commodities never reference node capacities -- share every object
+        capacities = {event.node: event.new_capacity}
         return RebuildResult(
-            StreamNetwork(physical=physical, commodities=list(network.commodities)),
-            [],
+            apply_scalar_overrides(network, capacities=capacities), []
         )
 
     if isinstance(event, CommodityArrival):
@@ -283,24 +233,6 @@ def apply_event(network: StreamNetwork, event: NetworkEvent) -> RebuildResult:
         raise ModelError("event disconnected every commodity; nothing to run")
     return RebuildResult(
         StreamNetwork(physical=physical, commodities=commodities), dropped
-    )
-
-
-def remap_routing(
-    old_ext: ExtendedNetwork,
-    old_routing: RoutingState,
-    new_ext: ExtendedNetwork,
-) -> RoutingState:
-    """Carry routing fractions from ``old_ext`` onto ``new_ext``.
-
-    Surviving edges keep their fractions (renormalised per node where mass
-    was lost); nodes with no surviving out-fraction mass fall back to the
-    shed-everything default.  The result is always a valid routing decision
-    on ``new_ext``.  Implemented as the array-level remap of
-    :mod:`repro.core.delta`; the old per-edge dict keys are gone.
-    """
-    return carry_routing(
-        old_ext, old_routing, new_ext, build_index_maps(old_ext, new_ext)
     )
 
 

@@ -15,7 +15,10 @@ round-trip buys up to ``staleness + 1`` iterations.  The workers run the
 cross-commodity coupling, the usage sum of eq. (4), runs on the master as
 the serial ``resource_usage`` call once every shard has returned.
 ``build_context`` and ``step`` are the serial engine's and never touch the
-pool.
+pool.  The pool is a cold-solve accelerator: it holds one epoch, so an
+epoch change (``refresh``) closes it and the next batch restarts it.  Live
+models -- the serve session and the online orchestrator -- run the serial
+engine.
 
 See ``docs/parallelism.md`` for the batched contract and the measurements
 that keep this backend.
@@ -77,11 +80,14 @@ class SerialBackend:
         self._ext = ext
         self._config = config
 
-    def refresh(self, applied: Any, instrumentation: Any = None) -> None:
+    def refresh(self, applied: Any) -> None:
         """Advance the bound model one epoch without rebinding.
 
-        ``applied`` is a :class:`repro.core.delta.AppliedDelta`.
+        ``applied`` is a :class:`repro.core.delta.AppliedDelta`.  A worker
+        pool holds the old epoch, so it closes here; the next batch
+        restarts it on the new one.
         """
+        self.close()
         self._ext = applied.ext
 
     def build_context(
@@ -218,9 +224,9 @@ class ParallelBackend(SerialBackend):
         Optional :mod:`multiprocessing` start method (``"fork"``,
         ``"spawn"``, ...); default: the platform default.
     inject_fault:
-        Test hook: the name of a worker phase (``"batch"`` or
-        ``"refresh"``) in which every worker raises, to exercise crash
-        cleanup.  Never set this outside tests.
+        Test hook: the name of a worker phase (``"batch"``) in which every
+        worker raises, to exercise crash cleanup.  Never set this outside
+        tests.
     staleness:
         ``K >= 1``: :meth:`advance` runs up to ``K + 1`` iterations per
         worker round-trip with the global ``dadf`` at most ``K`` iterations
@@ -229,7 +235,8 @@ class ParallelBackend(SerialBackend):
         iterates drift from serial within ``STALENESS_DRIFT_RTOL``.
 
     :meth:`build_context` and :meth:`step` are the inherited serial ones
-    and never start the pool; it starts lazily on the first batch.  Use as
+    and never start the pool; it starts lazily on the first batch, and
+    :meth:`refresh` closes it.  Use as
     a context manager (or call :meth:`close`) to release the worker pool
     and the shared-memory blocks deterministically.
     """
@@ -258,9 +265,6 @@ class ParallelBackend(SerialBackend):
         self._pool: Optional[ProcessPoolExecutor] = None
         self._shm: Optional[SharedArraySet] = None
         self._shards: List[Tuple[int, int]] = []
-        # fixed for the pool's lifetime; later refreshes re-shard within it
-        self._pool_size: int = 0
-        self._barrier: Optional[Any] = None
 
     # -- lifecycle -----------------------------------------------------------------
     def bind(self, ext: ExtendedNetwork, config: GradientConfig) -> None:
@@ -285,7 +289,6 @@ class ParallelBackend(SerialBackend):
         shm = SharedArraySet()
         try:
             self._shards = _split_shards(ext.num_commodities, self.workers)
-            self._pool_size = len(self._shards)
             for name, shape in _segment_shapes(ext).items():
                 shm.create(name, shape)
             import multiprocessing
@@ -295,14 +298,10 @@ class ParallelBackend(SerialBackend):
                 if self._start_method
                 else multiprocessing.get_context()
             )
-            # the barrier is the exactly-once delivery mechanism of
-            # refresh(): every worker blocks in its refresh task until all
-            # pool members have received theirs
-            self._barrier = ctx.Barrier(self._pool_size)
             self._pool = ProcessPoolExecutor(
-                max_workers=self._pool_size,
+                max_workers=len(self._shards),
                 initializer=init_worker,
-                initargs=(ext, shm.specs, self._inject_fault, self._barrier),
+                initargs=(ext, shm.specs, self._inject_fault),
                 mp_context=ctx,
             )
         except BaseException:
@@ -317,8 +316,6 @@ class ParallelBackend(SerialBackend):
         shm, self._shm = self._shm, None
         if shm is not None:
             shm.close()
-        self._barrier = None
-        self._pool_size = 0
 
     def __del__(self) -> None:  # best-effort safety net; close() is the API
         try:
@@ -354,51 +351,6 @@ class ParallelBackend(SerialBackend):
                 inst.phase_observation(
                     f"worker{worker_index}.{name}", duration, worker=worker_index
                 )
-
-    # -- epoch refresh -------------------------------------------------------------
-    def refresh(self, applied: Any, instrumentation: Any = None) -> None:
-        """Advance the pool to the delta's epoch without restarting it.
-
-        Scalar deltas ship the few-byte patch; every worker applies it to
-        its own network copy and no shared memory moves.  Structural deltas
-        ship the spliced successor network and re-publish only the
-        shared-memory segments whose shape actually changed.  Exactly-once
-        delivery is enforced by a pool-wide barrier: each worker blocks in
-        its refresh task until all ``_pool_size`` tasks have landed, so the
-        executor cannot hand two of them to one worker.
-        """
-        inst = instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
-        ext = applied.ext
-        self._ext = ext
-        if self._pool is None:
-            # nothing published yet: the pool starts lazily on the new epoch
-            return
-        if applied.structural:
-            # build the ModelState before pickling, as _ensure_started does
-            ModelState.of(ext)
-            shm = self._shm
-            shapes = _segment_shapes(ext)
-            dirty = [
-                name
-                for name, shape in shapes.items()
-                if shm.arrays[name].shape != shape
-            ]
-            for name in dirty:
-                shm.replace(name, shapes[name])
-            payload = ("ext", ext, shm.specs if dirty else None, ext.epoch)
-            self._shards = _split_shards(ext.num_commodities, self._pool_size)
-            if inst.enabled:
-                inst.count("parallel.refresh.segments_republished", len(dirty))
-        else:
-            payload = ("patch", applied.delta.scalar, None, ext.epoch)
-        with inst.phase("parallel_refresh", epoch=ext.epoch):
-            futures = [
-                self._pool.submit(run_shard, "refresh", k, k, payload)
-                for k in range(self._pool_size)
-            ]
-            results = self._collect("refresh", futures)
-        self._observe_worker_timings(inst, results)
-        inst.count("parallel.refresh")
 
     # -- batched iterations ----------------------------------------------------------
     def advance(

@@ -3,7 +3,7 @@
 The pool moves the per-batch arrays (``phi``, ``traffic``, ``dadf``)
 between the master and its worker processes through
 :mod:`multiprocessing.shared_memory` blocks that are created **once** per
-backend lifetime.  Per batch the only data that crosses the pickle boundary
+pool lifetime.  Per batch the only data that crosses the pickle boundary
 is a few-byte task descriptor (phase name, shard bounds, the step scale);
 every array read and write is a plain memcpy-free NumPy view into the
 shared blocks.
@@ -96,27 +96,6 @@ class SharedArraySet:
         self.arrays[name] = view
         self.specs[name] = (block.name, tuple(shape), str(dtype))
         return view
-
-    def replace(
-        self, name: str, shape: Tuple[int, ...], dtype: str = "float64"
-    ) -> np.ndarray:
-        """Re-publish one array under a new shape; other segments are untouched.
-
-        Unlinking a segment that workers still map is safe on POSIX: their
-        existing mappings stay valid until they close them, which they do
-        when re-attaching during a refresh.  Only segments whose shape
-        actually changed should pay this; same-shape arrays keep their block
-        (and their contents).
-        """
-        self.arrays.pop(name)  # drop the view before closing its buffer
-        block = self._blocks.pop(name)
-        self.specs.pop(name)
-        try:
-            block.close()
-            block.unlink()
-        except FileNotFoundError:
-            pass
-        return self.create(name, shape, dtype)
 
     def close(self) -> None:
         """Release the master's mappings and unlink every block."""

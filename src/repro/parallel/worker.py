@@ -6,18 +6,13 @@ once (the static graph arrays never cross the pickle boundary again) and
 attaches to the shared-memory arrays published by the master; after that,
 per-batch task descriptors are a few bytes each.
 
-Two task phases exist:
-
-``batch``
-    Run several full iterations privately over the owned shard with the
-    global ``dadf`` frozen at its dispatch value (the bounded-staleness
-    mode of ``ParallelBackend(staleness=K)``); local traffic rows are
-    re-solved every inner iteration, so only the *global* coupling is
-    stale, exactly as the paper's Section-5 asynchronous protocol allows.
-
-``refresh``
-    Advance the worker's network copy one epoch (a scalar patch or a
-    spliced successor), then rendezvous with every sibling.
+The one task phase, ``batch``, runs several full iterations privately
+over the owned shard with the global ``dadf`` frozen at its dispatch value
+(the bounded-staleness mode of ``ParallelBackend(staleness=K)``); local
+traffic rows are re-solved every inner iteration, so only the *global*
+coupling is stale, exactly as the paper's Section-5 asynchronous protocol
+allows.  A worker serves one epoch for its whole life: an epoch change
+closes the pool.
 
 Every kernel a batch runs is a :class:`~repro.core.state.ModelState`
 row-block kernel: the serial engine's own sweeps restricted to the shard's
@@ -32,7 +27,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.delta import ScalarPatch, apply_scalar_patch
 from repro.core.gradient import apply_gamma_batch
 from repro.core.routing import external_inputs_rows
 from repro.core.state import ModelState
@@ -42,23 +36,15 @@ from repro.parallel.shm import ArraySpec, attach_arrays
 __all__ = ["FAULT_PHASES", "init_worker", "run_shard"]
 
 # the phases ``ParallelBackend(inject_fault=...)`` can make every worker fail
-FAULT_PHASES = ("batch", "refresh")
+FAULT_PHASES = ("batch",)
 
 # Process-global worker state, set once by the pool initializer.
 _EXT: Optional[ExtendedNetwork] = None
 _ARRAYS: Dict[str, np.ndarray] = {}
 _BLOCKS: List[Any] = []
 _FAULT: Optional[str] = None
-_BARRIER: Optional[Any] = None
-# private per-worker scratch for the batch body, keyed by name and
-# reallocated when a structural refresh changes its shape
+# private per-worker scratch for the batch body, keyed by name
 _SCRATCH: Dict[str, np.ndarray] = {}
-
-# A refresh task must reach *every* worker exactly once; workers that
-# finished theirs block on the barrier until the stragglers arrive.  The
-# timeout only matters when a sibling dies mid-refresh -- it turns a
-# would-be deadlock into a BrokenBarrierError the master can report.
-_REFRESH_BARRIER_TIMEOUT = 60.0
 
 
 def _close_shared_memory() -> None:
@@ -72,58 +58,20 @@ def _close_shared_memory() -> None:
     _BLOCKS = []
 
 
-def init_worker(
-    ext: ExtendedNetwork,
-    specs: ArraySpec,
-    fault: Optional[str],
-    barrier: Optional[Any] = None,
-) -> None:
+def init_worker(ext: ExtendedNetwork, specs: ArraySpec, fault: Optional[str]) -> None:
     """Pool initializer: receive the graph once, attach the shared arrays."""
-    global _EXT, _ARRAYS, _BLOCKS, _FAULT, _BARRIER
+    global _EXT, _ARRAYS, _BLOCKS, _FAULT
     _EXT = ext
     _ARRAYS, _BLOCKS = attach_arrays(specs)
     _FAULT = fault
-    _BARRIER = barrier
     # build the shared ModelState eagerly so iteration-time tasks never pay
     # (or re-time) its construction
     ModelState.of(ext)
     atexit.register(_close_shared_memory)
 
 
-def _refresh_worker(payload: Tuple[str, Any, Optional[ArraySpec], int]) -> None:
-    """Apply one epoch advance in this worker, then rendezvous.
-
-    ``payload`` is ``(kind, data, specs, epoch)``: ``kind == "patch"``
-    applies a :class:`~repro.core.delta.ScalarPatch` to the worker's own
-    network copy; ``kind == "ext"`` replaces it with the freshly pickled
-    successor (its ``ModelState`` already built by the master).  When ``specs`` is
-    given the shared-memory layout changed: drop every old mapping and
-    re-attach -- unchanged segments resolve to the same blocks, replaced
-    ones to their successors.  The closing barrier guarantees exactly-once
-    delivery: no worker can pick up a second refresh task while a sibling
-    still hasn't run its first.
-    """
-    global _EXT, _ARRAYS, _BLOCKS
-    assert _EXT is not None, "worker used before init_worker ran"
-    kind, data, specs, epoch = payload
-    if kind == "patch":
-        patch: ScalarPatch = data
-        apply_scalar_patch(_EXT, patch)
-    else:
-        _EXT = data
-    if _EXT.epoch != epoch:
-        raise RuntimeError(
-            f"worker epoch diverged: have {_EXT.epoch}, master at {epoch}"
-        )
-    if specs is not None:
-        _close_shared_memory()
-        _ARRAYS, _BLOCKS = attach_arrays(specs)
-    if _BARRIER is not None:
-        _BARRIER.wait(timeout=_REFRESH_BARRIER_TIMEOUT)
-
-
 def _scratch(name: str, shape: Tuple[int, ...], dtype=float) -> np.ndarray:
-    """Private per-worker scratch array, reallocated when shapes change."""
+    """Private per-worker scratch array, allocated on first use."""
     array = _SCRATCH.get(name)
     if array is None or array.shape != shape:
         array = _SCRATCH[name] = np.zeros(shape, dtype=dtype)
@@ -206,8 +154,4 @@ def run_shard(phase: str, lo: int, hi: int, *args: Any) -> Tuple[int, Dict[str, 
     if phase == "batch":
         iterations, eta, use_blocking, traffic_tol = args
         return lo, _batch_shard(lo, hi, iterations, eta, use_blocking, traffic_tol)
-    if phase == "refresh":
-        start = time.perf_counter()
-        _refresh_worker(args[0])
-        return lo, {"refresh": time.perf_counter() - start}
     raise ValueError(f"unknown worker phase {phase!r}")

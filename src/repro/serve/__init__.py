@@ -1,7 +1,7 @@
 """``repro.serve``: admission control as a service on the delta core.
 
 The daemon (:class:`AdmissionServer`) owns a live epoch-versioned model
-plus a warm execution backend, accepts admit/depart/demand-change requests
+on the serial engine, accepts admit/depart/demand-change requests
 over the newline-delimited JSON ``repro.serve/1`` protocol, and
 group-commits them: the moment the optimizer is free it takes everything
 queued as one batch of few :class:`~repro.core.delta.ProblemDelta`

@@ -29,7 +29,7 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Any, List, Sequence
 
-from repro.core.delta import ProblemDelta, ScalarPatch, compile_event
+from repro.core.delta import ProblemDelta, compile_scalar_run
 from repro.exceptions import ServeError
 from repro.online.events import CapacityChange, DemandChange, NetworkEvent
 
@@ -67,59 +67,20 @@ def plan_batch(events: Sequence[NetworkEvent]) -> List[List[NetworkEvent]]:
 def merge_scalar_run(ext: Any, events: Sequence[NetworkEvent]) -> ProblemDelta:
     """One :class:`ProblemDelta` for a run of scalar events against ``ext``.
 
-    Validates every event against the evolving stream network (unknown
-    commodity/node names raise :class:`~repro.exceptions.ModelError`, the
-    same behaviour as compiling them one at a time) and merges the patch
-    entries last-write-wins.  A single-event run compiles through the
-    standard :func:`~repro.core.delta.compile_event` path.
+    The patch entries merge last-write-wins
+    (:func:`~repro.core.delta.compile_scalar_run`, the path a lone scalar
+    event compiles through too).  Unknown commodity/node names raise
+    :class:`~repro.exceptions.ModelError`, as compiling the events one at a
+    time would.
     """
     if not events:
         raise ServeError("merge_scalar_run needs at least one event")
-    if len(events) == 1:
-        return compile_event(ext, events[0])
-    # local import: repro.online.rebuild imports the delta module at load time
-    from repro.online.rebuild import apply_scalar_overrides
-
-    rates_by_name = {}
-    caps_by_name = {}
     for event in events:
         if not _is_scalar(event):
             raise ServeError(
                 f"merge_scalar_run got a structural {type(event).__name__}"
             )
-        if isinstance(event, DemandChange):
-            rates_by_name[event.commodity] = event.new_rate
-        else:
-            caps_by_name[event.node] = event.new_capacity
-    # scalar events cannot change topology, so only the final value per
-    # target matters: one physical copy + one rebuild per touched commodity
-    # replaces a full apply_event surgery per event (validation -- unknown
-    # names, unservable rates -- matches the chained path)
-    network = apply_scalar_overrides(
-        ext.stream_network, rates=rates_by_name, capacities=caps_by_name
-    )
-    patch = ScalarPatch(
-        node_capacity=tuple(
-            sorted(
-                (ext.node_index(node), cap)
-                for node, cap in caps_by_name.items()
-            )
-        ),
-        commodity_rate=tuple(
-            sorted(
-                (ext.commodity_view(name).index, rate)
-                for name, rate in rates_by_name.items()
-            )
-        ),
-    )
-    return ProblemDelta(
-        base_epoch=ext.epoch,
-        event=tuple(events),
-        network=network,
-        dropped_commodities=(),
-        dirty_commodities=(),
-        scalar=patch,
-    )
+    return compile_scalar_run(ext, events, tuple(events))
 
 
 @dataclass

@@ -26,7 +26,7 @@ Failure containment:
 
 Graceful shutdown (the ``shutdown`` op or :meth:`AdmissionServer.drain`)
 stops the listener, flushes every already-enqueued request through the
-optimizer, answers it, then tears the session and worker pool down.
+optimizer, answers it, then closes the session.
 
 :class:`ServerThread` embeds the daemon in a plain thread for tests,
 benchmarks, and examples.
@@ -144,10 +144,10 @@ class AdmissionServer:
             await self._loop.run_in_executor(
                 self._executor, self.session.warmup
             )
-        # GC policy: everything alive after warm-up (the model, the warm
-        # backend, the event loop) is long-lived; freezing it out of the
-        # collector removes multi-10 ms gen-2 pauses from the publish loop.
-        # drain() reverses this, so embedded servers do not pin the heap.
+        # GC policy: everything alive after warm-up (the model, the event
+        # loop) is long-lived; freezing it out of the collector removes
+        # multi-10 ms gen-2 pauses from the publish loop.  drain() reverses
+        # this, so embedded servers do not pin the heap.
         gc.collect()
         gc.freeze()
         self._gc_frozen = True

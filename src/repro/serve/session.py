@@ -1,8 +1,7 @@
 """The live model a serve daemon owns: epochs in, snapshots out.
 
-:class:`ServeSession` wraps the delta core (:mod:`repro.core.delta`), an
-execution backend (:mod:`repro.parallel`: the serial engine, or with
-``workers``/``staleness`` the batched-staleness pool, which runs the
+:class:`ServeSession` wraps the delta core (:mod:`repro.core.delta`), the
+serial engine (:class:`~repro.parallel.SerialBackend`, which runs the
 warm-up and every refine), and the invariant checker
 (:mod:`repro.validate`) into the publish loop the daemon drives:
 
@@ -10,9 +9,8 @@ warm-up and every refine), and the invariant checker
    :func:`~repro.serve.batching.plan_batch` -- scalar runs become one
    merged :class:`~repro.core.delta.ProblemDelta`, structural events one
    each -- with routing carried across every epoch
-   (:func:`~repro.core.delta.carry_routing`), one ``emergency_shed`` per
-   drained batch (mid-batch routing is never read), and the backend
-   refreshed in place, so a worker pool survives,
+   (:func:`~repro.core.delta.carry_routing`) and one ``emergency_shed``
+   per drained batch (mid-batch routing is never read),
 2. the gradient engine *refines* the carried state for a bounded number of
    iterations (the background re-optimisation -- warm starts mean a few
    iterations recover most of the utility, see docs/online.md),
@@ -51,16 +49,28 @@ from repro.exceptions import ModelError, ServeError
 from repro.obs.instrumentation import NULL_INSTRUMENTATION
 from repro.online.events import CommodityArrival, CommodityDeparture, NetworkEvent
 from repro.online.rebuild import emergency_shed
+from repro.parallel.backend import SerialBackend
 from repro.serve.batching import merge_scalar_run, plan_batch
 from repro.validate import InvariantChecker, Tolerances, ValidationReport
 
-__all__ = ["SERVE_CHECKS", "EventOutcome", "EpochSnapshot", "ServeSession"]
+__all__ = [
+    "SERVE_CHECKS",
+    "SHED_BISECTION_STEPS",
+    "EventOutcome",
+    "EpochSnapshot",
+    "ServeSession",
+]
 
 # the per-epoch audit: every structural invariant of the paper's catalog.
 # monotonicity needs an iterate history an online epoch does not have, and
 # duality_gap solves an LP per audit -- far too slow for a per-batch publish
-# loop (it stays available via checks= for offline forensics).
+# loop (InvariantChecker runs it for offline forensics).
 SERVE_CHECKS = ("routing", "conservation", "capacity", "admission", "dummy")
+
+# bisection steps of every shed: fewer than the offline default (40), since
+# the serving path trades shed precision (2^-16 on the admission scale) for
+# a bounded publish latency, and the audit still gates every epoch
+SHED_BISECTION_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -105,10 +115,7 @@ class ServeSession:
         refine_iterations: int = 8,
         warmup_iterations: int = 200,
         validate_epochs: bool = True,
-        checks: Sequence[str] = SERVE_CHECKS,
         min_admit_rate: float = 0.0,
-        shed_on_event: bool = True,
-        shed_bisection_steps: int = 16,
         instrumentation: Any = None,
     ) -> None:
         if refine_iterations < 1:
@@ -119,9 +126,6 @@ class ServeSession:
         self.inst = inst
 
         config: Optional[GradientConfig] = None
-        backend = None
-        workers = None
-        staleness = None
         if options is not None:
             from repro.options import SolveOptions
 
@@ -134,30 +138,28 @@ class ServeSession:
                     "the serve session drives the gradient method; "
                     f"got options.method={options.method!r}"
                 )
+            if (
+                options.workers not in (None, 1)
+                or options.staleness is not None
+                or options.backend is not None
+            ):
+                raise ServeError(
+                    "the serve session runs the serial engine; drop "
+                    "workers=/staleness=/backend= (a worker pool would "
+                    "restart on every published epoch)"
+                )
             config = options.config
-            backend = options.backend
-            workers = options.workers
-            staleness = options.staleness
         self.config = config or GradientConfig()
 
         self.ext = build_extended_network(network)
-        from repro.parallel.backend import resolve_backend
-
-        self.backend = resolve_backend(backend, workers, staleness=staleness)
-        self._owns_backend = self.backend is not backend
+        self.backend = SerialBackend()
         self.algo = GradientAlgorithm(self.ext, self.config, backend=self.backend)
         self.routing = initial_routing(self.ext)
 
         self.refine_iterations = refine_iterations
         self.warmup_iterations = warmup_iterations
         self.validate_epochs = validate_epochs
-        self.checks = tuple(checks)
         self.min_admit_rate = min_admit_rate
-        self.shed_on_event = shed_on_event
-        # fewer bisection steps than the offline default (40): the serving
-        # path trades shed precision (2^-16 on the admission scale) for a
-        # bounded publish latency, and the audit still gates every epoch
-        self.shed_bisection_steps = shed_bisection_steps
 
         self._snapshot: Optional[EpochSnapshot] = None
         self._seq = 0
@@ -248,11 +250,9 @@ class ServeSession:
         return [outcomes[id(event)] for event in events]
 
     def _shed(self) -> None:
-        if self.shed_on_event:
-            self.routing = emergency_shed(
-                self.ext, self.routing,
-                bisection_steps=self.shed_bisection_steps,
-            )
+        self.routing = emergency_shed(
+            self.ext, self.routing, bisection_steps=SHED_BISECTION_STEPS
+        )
 
     def _apply_single(self, event: NetworkEvent) -> EventOutcome:
         try:
@@ -371,7 +371,7 @@ class ServeSession:
         if not self.validate_epochs:
             return solution, None
         checker = InvariantChecker(
-            self.ext, checks=self.checks, instrumentation=self.inst
+            self.ext, checks=SERVE_CHECKS, instrumentation=self.inst
         )
         return solution, checker.check_solution(solution)
 
@@ -387,7 +387,7 @@ class ServeSession:
         self.routing = emergency_shed(
             self.ext, self.routing,
             utilization_target=1.0,
-            bisection_steps=self.shed_bisection_steps,
+            bisection_steps=SHED_BISECTION_STEPS,
             overloaded_only=True,
             tolerance=Tolerances().capacity,
         )
@@ -438,10 +438,6 @@ class ServeSession:
         return snapshot
 
     def close(self) -> None:
-        """Release the execution backend (idempotent)."""
+        """Refuse further batches (idempotent); reads keep the last snapshot."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-            if self._owns_backend:
-                self.backend.close()

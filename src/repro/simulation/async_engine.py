@@ -70,7 +70,7 @@ import numpy as np
 from repro.core.context import IterationContext
 from repro.core.gradient import GradientConfig, IterationRecord, apply_gamma_at_node
 from repro.core.result import RunResultMixin
-from repro.core.routing import RoutingState, initial_routing, utilization_profile
+from repro.core.routing import RoutingState, initial_routing
 from repro.core.solution import Solution, build_solution
 from repro.core.transform import ExtendedNetwork
 from repro.exceptions import ProtocolError, SimulationError
@@ -742,7 +742,9 @@ class AsyncGradientRun:
             context = self.backend.build_context(
                 snapshot, instrumentation=inst, with_derivatives=False
             )
-            record = self._record(checkpoint, context)
+            record = IterationRecord.from_context(
+                checkpoint, context, self.ext.capacity
+            )
             history.append(record)
             if inst.enabled:
                 inst.iteration(
@@ -825,15 +827,4 @@ class AsyncGradientRun:
         raise SimulationError(
             f"async deadlock: queue drained with {len(stuck)} agent(s) below "
             f"epoch {checkpoint} -- {detail}"
-        )
-
-    def _record(self, iteration: int, context: IterationContext) -> IterationRecord:
-        breakdown = context.breakdown
-        util = utilization_profile(context.node_usage, self.ext.capacity)
-        return IterationRecord(
-            iteration=iteration,
-            cost=breakdown.total,
-            utility=breakdown.utility,
-            max_utilization=float(util.max()) if util.size else 0.0,
-            admitted=breakdown.admitted.copy(),
         )

@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.context import IterationContext
 from repro.core.gradient import GradientConfig, IterationRecord
 from repro.core.result import RunResultMixin
-from repro.core.routing import RoutingState, initial_routing, utilization_profile
+from repro.core.routing import RoutingState, initial_routing
 from repro.core.solution import Solution, build_solution
 from repro.core.transform import ExtendedNetwork
 from repro.exceptions import SimulationError
@@ -191,7 +191,9 @@ class DistributedGradientRun:
                 context = self.backend.build_context(
                     snapshot, instrumentation=inst, with_derivatives=False
                 )
-                record = self._record(iteration, context)
+                record = IterationRecord.from_context(
+                    iteration, context, self.ext.capacity
+                )
                 history.append(record)
                 if inst.enabled:
                     inst.iteration(
@@ -229,14 +231,3 @@ class DistributedGradientRun:
 
             attach_validation(result, self.ext, mode=validate, instrumentation=inst)
         return result
-
-    def _record(self, iteration: int, context: IterationContext) -> IterationRecord:
-        breakdown = context.breakdown
-        util = utilization_profile(context.node_usage, self.ext.capacity)
-        return IterationRecord(
-            iteration=iteration,
-            cost=breakdown.total,
-            utility=breakdown.utility,
-            max_utilization=float(util.max()) if util.size else 0.0,
-            admitted=breakdown.admitted.copy(),
-        )

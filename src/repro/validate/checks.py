@@ -384,7 +384,7 @@ class InvariantChecker:
         rows = np.arange(num_c)
         imbalance[rows, [v.sink for v in ext.commodities]] = 0.0
         imbalance[rows, ext.commodity_dummies] = 0.0
-        scaled = np.abs(imbalance) / np.maximum(1.0, ext.lam)[:, None]
+        scaled = np.abs(imbalance) / np.maximum(1.0, ext.commodity_max_rates)[:, None]
         residual = float(scaled.max()) if scaled.size else 0.0
         detail = ""
         if residual > tol:
@@ -434,15 +434,16 @@ class InvariantChecker:
         ext = self.ext
         tol = self.tolerances.admission
         admitted = np.asarray(solution.admitted, dtype=float)
-        scale = np.maximum(1.0, ext.lam)
-        violation = np.maximum(admitted - ext.lam, -admitted) / scale
+        lam = ext.commodity_max_rates
+        scale = np.maximum(1.0, lam)
+        violation = np.maximum(admitted - lam, -admitted) / scale
         residual = max(0.0, float(violation.max())) if violation.size else 0.0
         detail = ""
         if residual > tol:
             j = int(violation.argmax())
             detail = (
                 f"{ext.commodities[j].name!r} admits {admitted[j]:.4g} "
-                f"of offered {ext.lam[j]:.4g}"
+                f"of offered {lam[j]:.4g}"
             )
         return CheckResult(
             name="admission",
@@ -460,16 +461,15 @@ class InvariantChecker:
         rows = np.arange(ext.num_commodities)
         input_flow = flows[rows, ext.commodity_input_edges]
         difference_flow = flows[rows, ext.commodity_difference_edges]
-        gap = np.abs(input_flow + difference_flow - ext.lam) / np.maximum(
-            1.0, ext.lam
-        )
+        lam = ext.commodity_max_rates
+        gap = np.abs(input_flow + difference_flow - lam) / np.maximum(1.0, lam)
         residual = float(gap.max()) if gap.size else 0.0
         detail = ""
         if residual > tol:
             j = int(gap.argmax())
             detail = (
                 f"{ext.commodities[j].name!r}: input {input_flow[j]:.4g} + "
-                f"difference {difference_flow[j]:.4g} != lambda {ext.lam[j]:.4g}"
+                f"difference {difference_flow[j]:.4g} != lambda {lam[j]:.4g}"
             )
         return CheckResult(
             name="dummy",
@@ -506,7 +506,8 @@ class InvariantChecker:
     def _check_duality_gap(self, solution: Solution) -> CheckResult:
         ext = self.ext
         tol = self.tolerances.for_check("duality_gap", solution.method)
-        admitted = np.clip(np.asarray(solution.admitted, dtype=float), 0.0, ext.lam)
+        lam = ext.commodity_max_rates
+        admitted = np.clip(np.asarray(solution.admitted, dtype=float), 0.0, lam)
         weights = np.array(
             [
                 float(view.utility.derivative(float(admitted[view.index])))
@@ -535,7 +536,7 @@ class InvariantChecker:
         )
         if not lp.success:
             return _skip("duality_gap", f"certificate LP failed: {lp.message}")
-        best = np.minimum(np.asarray(lp.x)[problem.admitted_columns], ext.lam)
+        best = np.minimum(np.asarray(lp.x)[problem.admitted_columns], lam)
         gap = float(weights @ (best - admitted))
         utility = float(
             sum(

@@ -151,7 +151,7 @@ def _broken_dummy_link(base: _Baseline) -> Tuple[ExtendedNetwork, Any]:
 def _over_admission(base: _Baseline) -> Tuple[ExtendedNetwork, Any]:
     ext = base.ext
     solution = _copy_solution(base.gradient.solution)
-    solution.admitted = ext.lam * 1.05
+    solution.admitted = ext.commodity_max_rates * 1.05
     return ext, _wrap(solution)
 
 

@@ -514,7 +514,6 @@ class DifferentialOracle:
         events: Sequence[Any],
         gradient_steps: int = 0,
         config: Any = None,
-        shed_on_event: bool = True,
     ) -> RebuildOracleReport:
         """Replay ``events`` through the delta path and from-scratch rebuilds.
 
@@ -602,9 +601,8 @@ class DifferentialOracle:
                 diff_extended_networks(ext_inc, ext_ref, compare_plans=True)
             )
 
-            if shed_on_event:
-                routing_inc = emergency_shed(ext_inc, routing_inc)
-                routing_ref = emergency_shed(ext_ref, routing_ref)
+            routing_inc = emergency_shed(ext_inc, routing_inc)
+            routing_ref = emergency_shed(ext_ref, routing_ref)
             routing_inc = run_steps(ext_inc, routing_inc)
             routing_ref = run_steps(ext_ref, routing_ref)
 

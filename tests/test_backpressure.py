@@ -34,7 +34,8 @@ class TestDynamics:
     def test_delivered_rates_bounded_by_offered(self, diamond_ext):
         config = BackpressureConfig(max_iterations=2000, record_every=100)
         result = BackpressureAlgorithm(diamond_ext, config).run()
-        assert np.all(result.average_rates <= diamond_ext.lam + 1e-9)
+        lam = diamond_ext.commodity_max_rates
+        assert np.all(result.average_rates <= lam + 1e-9)
         assert np.all(result.average_rates >= 0)
 
     def test_utility_rises_over_time(self, diamond_ext):

@@ -200,6 +200,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("flag", ["--workers", "--staleness"])
+    def test_serve_has_no_pool_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", flag, "2"])
+        assert exc.value.code == 2  # an argparse error, before any work
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestScenario:
     def test_list(self, capsys):

@@ -1,9 +1,10 @@
 """Tests for the epoch-versioned delta core (:mod:`repro.core.delta`).
 
 The contract under test: applying a compiled delta is **bit-identical** to
-rebuilding the extended network from scratch (down to every vectorization
-plan), epochs advance by exactly one per event, and the worker pool
-survives an epoch refresh without restarting a worker.
+rebuilding the extended network from scratch (down to every compiled
+array), epochs advance by exactly one per event, a scalar event is a value
+copy, and a worker pool restarted on the new epoch matches one bound fresh
+to it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import build_extended_network
-from repro.core.commodity import Commodity
+from repro.core.commodity import Commodity, StreamNetwork
 from repro.core.delta import (
     apply_delta,
     apply_scalar_patch,
@@ -24,9 +25,11 @@ from repro.core.delta import (
 )
 from repro.core import delta as delta_module
 from repro.core.gradient import GradientAlgorithm, GradientConfig
+from repro.core.network import PhysicalNetwork
 from repro.core.routing import initial_routing, validate_routing
 from repro.core.state import ModelState
 from repro.exceptions import ModelError
+from repro.io import network_to_dict
 from repro.online import (
     CapacityChange,
     CommodityArrival,
@@ -104,7 +107,7 @@ class TestEpochSemantics:
         # the compiled form depends on the topology only: it survives
         assert ModelState.of(ext) is state
         j = ext.commodity_view("S1").index
-        assert ext.lam[j] == pytest.approx(20.0)
+        assert ext.commodity_max_rates[j] == pytest.approx(20.0)
 
     def test_structural_delta_leaves_base_epoch_usable(self):
         net = figure1_network()
@@ -251,12 +254,12 @@ class TestEventSequenceProperty:
         assert report.passed, report.summary()
 
 
-class TestPoolSurvival:
-    """Acceptance bar: an event does not tear down the worker pool."""
+class TestPoolRestart:
+    """An epoch change closes the worker pool; the next batch restarts it."""
 
-    def test_refresh_keeps_pool_and_matches_serial(self):
-        """A refreshed pool computes the batches a pool bound fresh to the
-        new epoch computes, bit for bit, without restarting a worker."""
+    def test_refresh_restarts_pool_and_matches_fresh_pool(self):
+        """The restarted pool computes the batches a pool bound fresh to the
+        new epoch computes, bit for bit."""
         net = churn_network(num_nodes=20, num_commodities=3, seed=5)
         events = [
             DemandChange(1, commodity=net.commodities[0].name, new_rate=25.0),
@@ -268,42 +271,20 @@ class TestPoolSurvival:
         with ParallelBackend(workers=2, staleness=4) as backend:
             algo = GradientAlgorithm(ext, config, backend=backend)
             routing, _ = backend.advance(initial_routing(ext), None, 5)
-            pool = backend._pool
-            assert pool is not None
-            pids = {p.pid for p in pool._processes.values()}
+            assert backend._pool is not None
 
             for event in events:
                 applied = apply_delta(ext, compile_event(ext, event))
                 routing = carry_routing(ext, routing, applied.ext, applied.maps)
                 algo.refresh(applied)
                 ext = applied.ext
+                assert backend._pool is None  # the old epoch's pool is gone
 
                 with ParallelBackend(workers=2, staleness=4) as fresh:
                     fresh.bind(ext, config)
                     want, _ = fresh.advance(routing, None, 5)
                 routing, _ = backend.advance(routing, None, 5)
                 np.testing.assert_array_equal(routing.phi, want.phi)
-
-                assert backend._pool is pool  # never torn down
-                assert {p.pid for p in pool._processes.values()} == pids
-
-    def test_scalar_refresh_republishes_no_segments(self):
-        net = churn_network(num_nodes=20, num_commodities=3, seed=5)
-        ext = build_extended_network(net)
-        with ParallelBackend(workers=2, staleness=4) as backend:
-            algo = GradientAlgorithm(ext, GradientConfig(eta=0.02), backend=backend)
-            routing, _ = backend.advance(initial_routing(ext), None, 5)
-            specs_before = dict(backend._shm.specs)
-            delta = compile_event(
-                ext, DemandChange(1, commodity=net.commodities[0].name,
-                                  new_rate=30.0)
-            )
-            applied = apply_delta(ext, delta)
-            algo.refresh(applied)
-            # a scalar epoch ships a few-byte patch: every shm block survives
-            assert dict(backend._shm.specs) == specs_before
-            # and the pool still computes on the new epoch
-            backend.advance(routing, None, 5)
 
 
 class TestRebuildErrorHandling:
@@ -319,13 +300,76 @@ class TestRebuildErrorHandling:
         with pytest.raises(RuntimeError, match="not a validation problem"):
             apply_event(net, LinkFailure(1, link=("server2", "server4")))
 
-    def test_unservable_demand_change_is_model_error(self, monkeypatch):
-        net = figure1_network()
-        monkeypatch.setattr(
-            rebuild_module, "_rebuild_commodity", lambda *a, **k: None
+
+def _readd_physical(physical, capacities):
+    """The physical network re-added node by node and link by link."""
+    new = PhysicalNetwork()
+    for node in physical.nodes.values():
+        if node.is_sink:
+            new.add_sink(node.name)
+        else:
+            new.add_server(node.name, capacities.get(node.name, node.capacity))
+    for link in physical.links.values():
+        new.add_link(link.tail, link.head, link.bandwidth)
+    return new
+
+
+_SCALAR_NETWORKS = {
+    "figure1": figure1_network,
+    "churn-20x3": lambda: churn_network(num_nodes=20, num_commodities=3, seed=5),
+    "serve-mix-120": lambda: scenario("serve-mix-120").compile().network,
+}
+
+
+class TestScalarValueCopy:
+    """A scalar event copies values; it re-derives no commodity."""
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+    def test_with_max_rate_rejects_non_positive_rate(self, rate):
+        commodity = figure1_network().commodity("S1")
+        with pytest.raises(ModelError, match="max_rate"):
+            commodity.with_max_rate(rate)
+
+    @pytest.mark.parametrize("name", sorted(_SCALAR_NETWORKS))
+    def test_demand_change_matches_rederivation(self, name):
+        net = _SCALAR_NETWORKS[name]()
+        target = net.commodities[-1]
+        result = apply_event(
+            net, DemandChange(1, commodity=target.name, new_rate=7.25)
         )
-        with pytest.raises(ModelError, match="unservable"):
-            apply_event(net, DemandChange(1, commodity="S1", new_rate=9.0))
+        rederived = Commodity.from_subgraph(
+            name=target.name,
+            source=target.source,
+            sink=target.sink,
+            max_rate=7.25,
+            edges=target.edges,
+            potentials=target.potentials,
+            costs=target.costs,
+            utility=target.utility,
+            prune=True,
+        )
+        want = StreamNetwork(
+            physical=net.physical,
+            commodities=[
+                rederived if c is target else c for c in net.commodities
+            ],
+        )
+        assert network_to_dict(result.network) == network_to_dict(want)
+        copied = result.network.commodity(target.name)
+        assert copied.max_rate == 7.25 and target.max_rate != 7.25
+        assert copied.edges is target.edges  # the DAG is shared, not rebuilt
+
+    @pytest.mark.parametrize("name", sorted(_SCALAR_NETWORKS))
+    def test_capacity_change_matches_physical_rebuild(self, name):
+        net = _SCALAR_NETWORKS[name]()
+        node = _interior_node(net)
+        result = apply_event(net, CapacityChange(1, node=node, new_capacity=3.5))
+        want = StreamNetwork(
+            physical=_readd_physical(net.physical, {node: 3.5}),
+            commodities=list(net.commodities),
+        )
+        assert network_to_dict(result.network) == network_to_dict(want)
+        assert net.physical.node(node).capacity != 3.5  # input untouched
 
 
 class TestSharing:

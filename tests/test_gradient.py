@@ -9,6 +9,7 @@ from repro import build_extended_network
 from repro.core.gradient import (
     GradientAlgorithm,
     GradientConfig,
+    IterationRecord,
     apply_gamma_at_node,
     apply_gamma_batch,
 )
@@ -140,7 +141,9 @@ class TestConvergence:
         lp = solve_lp(figure1_ext)
         # figure-1 capacities don't bind; full admission is optimal
         assert result.solution.utility == pytest.approx(lp.utility, rel=1e-6)
-        np.testing.assert_allclose(result.solution.admitted, figure1_ext.lam, rtol=1e-6)
+        np.testing.assert_allclose(
+            result.solution.admitted, figure1_ext.commodity_max_rates, rtol=1e-6
+        )
 
     def test_cost_decreases_monotonically_for_small_eta(self, diamond_ext):
         config = GradientConfig(eta=0.01, max_iterations=600)
@@ -161,7 +164,8 @@ class TestConvergence:
             figure1_ext, GradientConfig(eta=0.05, max_iterations=500)
         ).run()
         for record in result.history:
-            assert np.all(record.admitted <= figure1_ext.lam * (1 + 1e-9))
+            lam = figure1_ext.commodity_max_rates
+            assert np.all(record.admitted <= lam * (1 + 1e-9))
             assert np.all(record.admitted >= -1e-9)
 
     def test_utility_trajectory_reaches_plateau_monotonically(self, diamond_ext):
@@ -416,8 +420,8 @@ class TestIterationCache:
         ext.capacity[ext.node_index("top")] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            idle_rec = algo._record(0, idle_ctx)
-            busy_rec = algo._record(0, busy_ctx)
+            idle_rec = IterationRecord.from_context(0, idle_ctx, ext.capacity)
+            busy_rec = IterationRecord.from_context(0, busy_ctx, ext.capacity)
         # shed-everything routing leaves the drained node idle: no violation
         assert idle_rec.max_utilization == 0.0
         # uniform routing pushes flow through it: infinite, never nan

@@ -81,7 +81,9 @@ class TestEvaluateCost:
         routing = interior_routing(figure1_ext, 1)
         breakdown = evaluate_cost(figure1_ext, routing, cost_model)
         np.testing.assert_allclose(
-            breakdown.admitted + breakdown.shed, figure1_ext.lam, rtol=1e-9
+            breakdown.admitted + breakdown.shed,
+            figure1_ext.commodity_max_rates,
+            rtol=1e-9,
         )
 
 

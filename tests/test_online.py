@@ -22,10 +22,11 @@ from repro.online import (
     NodeFailure,
     OnlineOrchestrator,
     apply_event,
+    carry_routing,
     emergency_shed,
-    remap_routing,
 )
 from repro.scenarios import diamond_network, figure1_network
+from repro.validate import DifferentialOracle
 
 
 class TestEventValidation:
@@ -178,7 +179,7 @@ class TestRemapRouting:
             net, DemandChange(at_iteration=1, commodity="S1", new_rate=20.0)
         )
         new_ext = build_extended_network(rebuilt.network)
-        carried = remap_routing(ext, result.solution.routing, new_ext)
+        carried = carry_routing(ext, result.solution.routing, new_ext)
         validate_routing(new_ext, carried)
         # identical edge structure => identical fractions
         np.testing.assert_allclose(
@@ -197,7 +198,7 @@ class TestRemapRouting:
             net, LinkFailure(at_iteration=1, link=("server2", "server4"))
         )
         new_ext = build_extended_network(rebuilt.network, require_connected=False)
-        carried = remap_routing(ext, result.solution.routing, new_ext)
+        carried = carry_routing(ext, result.solution.routing, new_ext)
         validate_routing(new_ext, carried)
 
     def test_fresh_nodes_get_default(self):
@@ -209,7 +210,7 @@ class TestRemapRouting:
             net, LinkFailure(at_iteration=1, link=("server3", "server5"))
         )
         new_ext = build_extended_network(rebuilt.network, require_connected=False)
-        carried = remap_routing(ext, routing, new_ext)
+        carried = carry_routing(ext, routing, new_ext)
         validate_routing(new_ext, carried)
 
 
@@ -359,24 +360,21 @@ class TestOrchestrator:
         labels = [r.event for r in result.records if r.event]
         assert labels == ["CapacityChange"]
 
-    def test_incremental_matches_legacy_bitwise(self):
+    def test_delta_path_matches_rebuild_bitwise(self):
         """The delta path is an optimisation, not a different algorithm:
-        the whole timeline must land on the exact same utility."""
-        net = figure1_network()
+        every epoch and the iterates after it match a from-scratch rebuild
+        bit for bit."""
         events = [
             DemandChange(at_iteration=150, commodity="S1", new_rate=25.0),
             CapacityChange(at_iteration=300, node="server3", new_capacity=9.0),
             LinkFailure(at_iteration=450, link=("server2", "server4")),
         ]
-        fast = OnlineOrchestrator(
-            net, events, GradientConfig(eta=0.05), incremental=True
-        ).run(600)
-        slow = OnlineOrchestrator(
-            net, events, GradientConfig(eta=0.05), incremental=False
-        ).run(600)
-        assert fast.final_utility == slow.final_utility  # bit-identical
-        for a, b in zip(fast.records, slow.records):
-            assert a.utility == b.utility
+        report = DifferentialOracle().compare_rebuild(
+            figure1_network(), events, gradient_steps=150,
+            config=GradientConfig(eta=0.05),
+        )
+        assert report.passed, report.summary()
+        assert [step.structural for step in report.steps] == [False, False, True]
 
     def test_incremental_reports_epochs(self):
         net = figure1_network()
@@ -384,7 +382,5 @@ class TestOrchestrator:
             DemandChange(at_iteration=50, commodity="S1", new_rate=25.0),
             LinkFailure(at_iteration=100, link=("server2", "server4")),
         ]
-        result = OnlineOrchestrator(
-            net, events, GradientConfig(eta=0.05), incremental=True
-        ).run(200)
+        result = OnlineOrchestrator(net, events, GradientConfig(eta=0.05)).run(200)
         assert [r.epoch for r in result.recoveries] == [1, 2]

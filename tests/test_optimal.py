@@ -40,7 +40,8 @@ class TestArcFlowProblem:
 
     def test_rhs_carries_offered_rates(self, diamond_ext):
         problem = build_arc_flow_problem(diamond_ext)
-        assert problem.b_eq.sum() == pytest.approx(diamond_ext.lam.sum())
+        lam = diamond_ext.commodity_max_rates
+        assert problem.b_eq.sum() == pytest.approx(lam.sum())
 
     def test_capacity_scale_bounds(self, diamond_ext):
         full = build_arc_flow_problem(diamond_ext, capacity_scale=1.0)
@@ -101,7 +102,9 @@ class TestLP:
 
     def test_figure1_full_admission(self, figure1_ext):
         solution = solve_lp(figure1_ext)
-        np.testing.assert_allclose(solution.admitted, figure1_ext.lam, rtol=1e-9)
+        np.testing.assert_allclose(
+            solution.admitted, figure1_ext.commodity_max_rates, rtol=1e-9
+        )
 
     def test_node_usage_respects_capacity(self, figure4_ext):
         solution = solve_lp(figure4_ext)

@@ -3,7 +3,7 @@
 Two backends exist.  :class:`SerialBackend` is the engine.
 :class:`ParallelBackend` inherits its ``build_context`` and ``step`` and
 adds a worker pool that runs only bounded-staleness batches through
-``advance`` (and epoch refreshes).  The batched iterates drift from serial
+``advance``; an epoch refresh closes it.  The batched iterates drift from serial
 within ``STALENESS_DRIFT_RTOL``, must not depend on how commodities are
 sharded, must keep one flow solve per iteration, and must surface worker
 crashes as a clean :class:`repro.exceptions.ParallelExecutionError`
@@ -27,9 +27,7 @@ from repro import (
     build_extended_network,
     solve,
 )
-from repro.core.delta import apply_delta, compile_event
 from repro.core.routing import initial_routing
-from repro.online.events import DemandChange
 from repro.parallel import ParallelBackend, SerialBackend, resolve_backend
 from repro.parallel.backend import _split_shards
 from repro.scenarios import random_stream_network, scenario
@@ -74,7 +72,7 @@ class TestBitIdentity:
             unsharded = _batched(one, ext, config, chunks=10, chunk=10)
         with make_backend(workers=3, staleness=STALENESS) as three:
             sharded = _batched(three, ext, config, chunks=10, chunk=10)
-            assert three._pool_size == 3
+            assert len(three._shards) == 3
         for chunk, (a, b) in enumerate(zip(unsharded, sharded)):
             assert np.array_equal(a, b), f"phi diverged in chunk {chunk}"
 
@@ -177,25 +175,20 @@ class TestSolveIntegration:
         assert "phase.parallel_batch.seconds" in histograms
 
 
-def _trigger(backend: ParallelBackend, ext, phase: str) -> None:
-    """Start the pool with a batch, then run ``phase`` on it."""
-    config = GradientConfig(eta=0.04)
-    backend.bind(ext, config)
+def _trigger(backend: ParallelBackend, ext) -> None:
+    """Start the pool with a batch."""
+    backend.bind(ext, GradientConfig(eta=0.04))
     backend.advance(initial_routing(ext), None, 5)
-    if phase == "refresh":
-        name = ext.stream_network.commodities[0].name
-        applied = apply_delta(ext, compile_event(ext, DemandChange(1, name, 20.0)))
-        backend.refresh(applied)
 
 
 class TestCrashSafety:
-    @pytest.mark.parametrize("phase", ["batch", "refresh"])
+    @pytest.mark.parametrize("phase", ["batch"])
     def test_worker_fault_surfaces_clean_error(self, phase):
         ext = _random_ext(seed=3)
         backend = ParallelBackend(workers=2, staleness=STALENESS, inject_fault=phase)
         try:
             with pytest.raises(ParallelExecutionError, match=phase):
-                _trigger(backend, ext, phase)
+                _trigger(backend, ext)
             assert backend._pool is None
         finally:
             backend.close()
@@ -278,7 +271,6 @@ class TestBackendLifecycle:
         ext = _random_ext(seed=5, num_commodities=3)
         with ParallelBackend(workers=8, staleness=STALENESS) as backend:
             _batched(backend, ext, GradientConfig(eta=0.04), chunks=1)
-            assert backend._pool_size == 3
             assert len(backend._shards) == 3
             assert backend._pool._max_workers == 3
 

@@ -27,7 +27,7 @@ from repro.core.routing import (
     validate_routing,
 )
 from repro.io import network_to_dict
-from repro.online import LinkFailure, apply_event, emergency_shed, remap_routing
+from repro.online import LinkFailure, apply_event, carry_routing, emergency_shed
 from repro.validate.strategies import (
     named_extended_network,
     network_names,
@@ -107,7 +107,7 @@ class TestGammaInvariants:
             routing = algo.step(routing)
             validate_routing(ext, routing)
             admitted = admitted_rates(ext, routing)
-            assert np.all(admitted <= ext.lam + 1e-9)
+            assert np.all(admitted <= ext.commodity_max_rates + 1e-9)
             assert np.all(admitted >= -1e-9)
 
 
@@ -127,7 +127,7 @@ class TestOnlineInvariants:
         except Exception:
             return  # event stranded everything; nothing to check
         new_ext = build_extended_network(rebuilt.network, require_connected=False)
-        carried = remap_routing(ext, routing, new_ext)
+        carried = carry_routing(ext, routing, new_ext)
         validate_routing(new_ext, carried)
 
     @given(seed=seeds(), target=st.floats(0.3, 1.0))

@@ -44,6 +44,7 @@ from repro.online.events import (
 from repro.online.orchestrator import OnlineOrchestrator
 from repro.online.rebuild import apply_event, apply_scalar_overrides
 from repro.options import SolveOptions
+from repro.parallel import ParallelBackend, SerialBackend
 from repro.serve import (
     BatchQueue,
     ServeConfig,
@@ -603,6 +604,20 @@ class TestSessionPolicies:
             ServeSession(network, refine_iterations=0)
         with pytest.raises(ServeError):
             ServeSession(network, warmup_iterations=0)
+
+    def test_rejects_a_worker_pool(self):
+        """A live model runs the serial engine: a pool would hold one epoch
+        and restart on every published one."""
+        network = small_network()
+        for options in (
+            SolveOptions(workers=2, staleness=4),
+            SolveOptions(staleness=4),
+            SolveOptions(backend=ParallelBackend(workers=2, staleness=4)),
+        ):
+            with pytest.raises(ServeError, match="serial engine"):
+                ServeSession(network, options)
+        session = ServeSession(network, SolveOptions(workers=1))
+        assert type(session.backend) is SerialBackend
 
     def test_closed_session_refuses_batches(self):
         network = small_network()

@@ -110,7 +110,7 @@ class TestParameters:
                 assert figure1_ext.allowed[j, e] == (e in allowed)
 
     def test_lam_vector(self, figure1_ext):
-        np.testing.assert_allclose(figure1_ext.lam, [15.0, 12.0])
+        np.testing.assert_allclose(figure1_ext.commodity_max_rates, [15.0, 12.0])
 
 
 class TestTopology:
