@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from conftest import emit
+from conftest import emit, host_context
 
 from repro import build_extended_network
 from repro.obs import Instrumentation, write_metrics_json
@@ -175,6 +175,7 @@ def test_iteration_core_speedup(benchmark):
         iterations=ITERATIONS,
         chunk_size=chunk,
         smoke=SMOKE,
+        host=host_context(),
     )
 
     if not SMOKE:

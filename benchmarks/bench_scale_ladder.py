@@ -45,7 +45,7 @@ import statistics
 import time
 from pathlib import Path
 
-from conftest import emit
+from conftest import emit, host_context
 
 from repro import build_extended_network
 from repro.analysis import TableBuilder
@@ -181,6 +181,7 @@ def test_scale_ladder(benchmark):
         blocks=BLOCKS,
         warmup=WARMUP,
         smoke=SMOKE,
+        host=host_context(),
     )
 
     # smoke keeps only a sanity band (adjacent rungs on shared runners are

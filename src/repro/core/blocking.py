@@ -30,12 +30,13 @@ broadcast was tagged; hence tags flood upstream.  ``B_i(j)`` is then the set
 of neighbours ``k`` with ``phi_ik(j) = 0`` whose broadcast arrived tagged.
 
 The engine computes exactly the tags that protocol would deliver with
-:meth:`repro.core.state.ModelState.blocked_sets_block`, one reverse-level
-sweep over every commodity's cells; :func:`compute_all_blocked_sets` is
-that kernel over all commodities.  The per-commodity functions below are
-the paper-literal scalar walks it is pinned bit-identical against (the
-message-passing version lives in :mod:`repro.simulation.agent` and is
-tested to agree).
+:meth:`repro.core.state.ModelState.blocked_sweep`, one reverse-level sweep
+over every commodity's cells; :func:`compute_all_blocked_sets` wraps it for
+dense tables, and the worker pool's shards run its row-block twin
+:meth:`~repro.core.state.ModelState.blocked_sets_block`.  The
+per-commodity functions below are the paper-literal scalar walks it is
+pinned bit-identical against (the message-passing version lives in
+:mod:`repro.simulation.agent` and is tested to agree).
 """
 
 from __future__ import annotations
@@ -134,25 +135,24 @@ def compute_all_blocked_sets(
 
     ``blocked[j, e]`` iff ``head(e) in B_tail(e)(j)``: a blocked edge must
     keep ``phi = 0`` in the coming update (eq. (14)).  ``dadr`` and
-    ``delta`` are the stacked ``(J, V)`` / ``(J, E)`` arrays.  Runs
-    :meth:`~repro.core.state.ModelState.blocked_sets_block` over
-    commodities ``[0, J)``; row ``j`` is identical to
+    ``delta`` are the stacked ``(J, V)`` / ``(J, E)`` arrays.  Gathers them
+    onto the cells, runs :meth:`~repro.core.state.ModelState.blocked_sweep`
+    and scatters the result; row ``j`` is identical to
     :func:`compute_blocked_sets_scalar`.
     """
-    blocked = np.zeros((ext.num_commodities, ext.num_edges), dtype=bool)
-    ModelState.of(ext).blocked_sets_block(
-        blocked.reshape(-1),
-        routing.phi.reshape(-1),
-        traffic.reshape(-1),
-        dadr.reshape(-1),
-        delta.reshape(-1),
+    model = ModelState.of(ext)
+    blocked = model.blocked_sweep(
+        routing.cells(model),
+        model.node_slots(traffic, model.forward),
+        model.node_slots(dadr, model.reverse),
+        model.edge_cells(delta, model.reverse),
         eta,
-        0,
-        ext.num_commodities,
         phi_zero_tol,
         phi_positive_tol,
     )
-    return blocked
+    if blocked is None:
+        return np.zeros((ext.num_commodities, ext.num_edges), dtype=bool)
+    return model.edge_table(blocked)
 
 
 def compute_blocked_sets_scalar(

@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.core.commodity import StreamNetwork
 from repro.core.routing import RoutingState, initial_routing
-from repro.core.state import GammaPlan, ModelState, WaveLevel
+from repro.core.state import GammaPlan, ModelState, Wave
 from repro.core.transform import (
     ExtEdge,
     ExtEdgeKind,
@@ -481,10 +481,9 @@ def carry_routing(
     """
     if maps is None:
         maps = build_index_maps(old_ext, new_ext)
-    routing = initial_routing(new_ext)
     if maps.identity:
-        np.copyto(routing.phi, old_routing.phi)
-        return routing
+        return old_routing.copy()
+    routing = initial_routing(new_ext)
 
     old_views = {c.name: c for c in old_ext.commodities}
     for view in new_ext.commodities:
@@ -532,9 +531,10 @@ def diff_extended_networks(
     Empty list means the two networks are indistinguishable to every
     consumer: same nodes/edges/views, same arrays, and (with
     ``compare_plans``) the same compiled form -- every
-    :class:`~repro.core.state.ModelState` array (cell list, wave levels,
-    Gamma rows, ``gamma_starts``), built on both networks if it was not
-    already.  Epochs are deliberately
+    :class:`~repro.core.state.ModelState` array (cell list, waves and
+    their level bounds, the cell layout's maps, both Gamma plans,
+    ``gamma_starts``), built on both networks if it was not already.
+    Epochs are deliberately
     not compared -- a spliced network and a from-scratch rebuild of the
     same instance legitimately disagree there.
     """
@@ -601,28 +601,32 @@ def diff_extended_networks(
     for name in (
         "cell_raw", "cell_edges", "cell_tails", "cell_heads", "cell_cost",
         "cell_gain", "cell_g_tail", "cell_g_head", "cell_starts", "gamma_starts",
+        "cell_forward", "cell_reverse", "forward_phi", "reverse_traffic_slots",
+        "input_entries", "dummy_slots",
     ):
         _diff_arrays(f"state.{name}", getattr(sa, name), getattr(sb, name), diffs)
-    for f in fields(GammaPlan):
-        _diff_arrays(
-            f"state.gamma_plan.{f.name}",
-            getattr(sa.gamma_plan, f.name),
-            getattr(sb.gamma_plan, f.name),
-            diffs,
-        )
-    for wave in ("forward_levels", "reverse_levels"):
-        levels_a, levels_b = getattr(sa, wave), getattr(sb, wave)
-        if len(levels_a) != len(levels_b):
-            diffs.append(
-                f"state.{wave}: {len(levels_a)} != {len(levels_b)} levels"
+    for plan in ("gamma_plan", "gamma_cells"):
+        for f in fields(GammaPlan):
+            _diff_arrays(
+                f"state.{plan}.{f.name}",
+                getattr(getattr(sa, plan), f.name),
+                getattr(getattr(sb, plan), f.name),
+                diffs,
             )
-            continue
-        for k, (la, lb) in enumerate(zip(levels_a, levels_b)):
-            for f in fields(WaveLevel):
+    # a level is a slice of its wave's arrays: the arrays and the slice
+    # bounds cover it
+    for wave in ("forward", "reverse"):
+        wa, wb = getattr(sa, wave), getattr(sb, wave)
+        for f in fields(Wave):
+            if f.name != "levels":
                 _diff_arrays(
-                    f"state.{wave}[{k}].{f.name}",
-                    getattr(la, f.name),
-                    getattr(lb, f.name),
+                    f"state.{wave}.{f.name}",
+                    getattr(wa, f.name),
+                    getattr(wb, f.name),
                     diffs,
                 )
+        bounds_a = [(lv.start, lv.stop, lv.slot) for lv in wa.levels]
+        bounds_b = [(lv.start, lv.stop, lv.slot) for lv in wb.levels]
+        if bounds_a != bounds_b:
+            diffs.append(f"state.{wave}: level bounds differ")
     return diffs

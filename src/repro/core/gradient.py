@@ -173,7 +173,13 @@ def apply_gamma_batch(
 
     Parameters mirror :func:`apply_gamma_at_node`, with ``plan`` replacing
     the per-node ``out`` list and ``traffic_row`` carrying ``t_i(j)`` for
-    every extended node.
+    every extended node.  The kernel gathers its cells through
+    ``plan.targets`` (from ``phi_row``, ``delta`` and ``blocked``) and its
+    rows' traffic through ``plan.nodes``, then scatters the new fractions
+    back: on flat ``(J, E)`` / ``(J, V)`` tables with
+    :attr:`ModelState.gamma_plan <repro.core.state.ModelState.gamma_plan>`,
+    or on the serial engine's cell vectors with
+    :attr:`ModelState.gamma_cells <repro.core.state.ModelState.gamma_cells>`.
     """
     if plan.nodes.size == 0:
         return
@@ -595,6 +601,7 @@ class GradientAlgorithm:
             method="gradient",
             iterations=iterations_done,
             traffic=context.traffic,
+            usage=(context.edge_usage, context.node_usage),
         )
         if inst.enabled:
             inst.gauge("iterations_total", iterations_done)

@@ -40,6 +40,7 @@ __all__ = [
     "CostModel",
     "CostBreakdown",
     "evaluate_cost",
+    "cost_breakdown",
     "link_cost_derivative",
     "marginal_cost_to_destination_scalar",
     "all_marginal_costs",
@@ -92,15 +93,32 @@ def evaluate_cost(
     ``traffic`` and ``usage`` (an ``(edge_usage, node_usage)`` pair) accept
     precomputed values so callers holding an
     :class:`repro.core.context.IterationContext` never re-solve the flow
-    balance.
+    balance.  Without ``traffic`` the flow comes from one
+    :meth:`~repro.core.state.ModelState.forward_sweep`, with no ``(J, V)``
+    table.
     """
     if traffic is None:
-        traffic = solve_traffic(ext, routing)
-    if usage is None:
-        usage = resource_usage(ext, routing, traffic)
-    edge_usage, node_usage = usage
-    admitted = admitted_rates(ext, routing, traffic)
+        model = ModelState.of(ext)
+        phi_f = routing.forward_cells(model)
+        traffic, tp = model.forward_sweep(phi_f)
+        if usage is None:
+            usage = model.usage_sweep(tp)
+        admitted = model.admitted(traffic, phi_f)
+    else:
+        if usage is None:
+            usage = resource_usage(ext, routing, traffic)
+        admitted = admitted_rates(ext, routing, traffic)
+    return cost_breakdown(ext, cost_model, admitted, *usage)
 
+
+def cost_breakdown(
+    ext: ExtendedNetwork,
+    cost_model: CostModel,
+    admitted: np.ndarray,
+    edge_usage: np.ndarray,
+    node_usage: np.ndarray,
+) -> CostBreakdown:
+    """:func:`evaluate_cost` from the admitted rates and the usage."""
     # Y is a function of the *difference-link usage* (eq. (8)): at a valid
     # routing this equals lambda_j - a_j, but keeping the dependence on the
     # actual link flow makes A a differentiable function of each phi
@@ -229,12 +247,16 @@ def all_marginal_costs(
 ) -> np.ndarray:
     """``dA/dr`` for all commodities: shape ``(J, V)`` (eq. (9)).
 
-    One cross-commodity reverse wave: ordered ``np.bincount`` sweeps over
-    the height levels of :class:`repro.core.state.ModelState`, which add
-    the scalar walk's contributions in its order -- row ``j`` is bit
-    identical to :func:`marginal_cost_to_destination_scalar`.
+    Gathers the routing's cell vector, runs the cross-commodity reverse
+    wave (:meth:`repro.core.state.ModelState.reverse_sweep`: ordered
+    ``np.bincount`` sweeps over the height levels, which add the scalar
+    walk's contributions in its order) and scatters the slots into the
+    table -- row ``j`` is bit identical to
+    :func:`marginal_cost_to_destination_scalar`.
     """
-    return ModelState.of(ext).marginal_costs(routing.phi.reshape(-1), dadf)
+    model = ModelState.of(ext)
+    dadr, _ = model.reverse_sweep(routing.cells(model), dadf)
+    return model.node_table(dadr, model.reverse)
 
 
 def edge_marginals(

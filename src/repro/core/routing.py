@@ -17,9 +17,10 @@ linear solver is provided as an independent cross-check (the paper notes
 eq. (3) "has a unique solution of t given r and phi").
 
 :func:`solve_traffic` and :func:`resource_usage` run the
-:class:`~repro.core.state.ModelState` sweeps; :func:`solve_traffic_scalar`
-and :func:`resource_usage_scalar` are the paper-literal walks they are
-pinned bit-identical against.
+:class:`~repro.core.state.ModelState` sweeps on a routing's cell vector
+(:meth:`RoutingState.cells`); :func:`solve_traffic_scalar` and
+:func:`resource_usage_scalar` are the paper-literal walks they are pinned
+bit-identical against.
 """
 
 from __future__ import annotations
@@ -55,19 +56,64 @@ __all__ = [
 ]
 
 
-@dataclass
 class RoutingState:
     """Routing fractions ``phi`` as a ``(J, E)`` array over extended edges.
 
     ``phi[j, e]`` is the fraction of the tail node's commodity-``j`` traffic
     sent over extended edge ``e``; rows are restricted to each commodity's
     allowed edge set.
+
+    The engine keeps a routing as a *cell vector* of its
+    :class:`~repro.core.state.ModelState` -- one fraction per allowed cell,
+    in the reverse wave's order -- and builds the dense ``phi`` only when a
+    caller reads it, zero off the allowed cells.  Once ``phi`` has been
+    read the dense array is the truth: :meth:`cells` gathers from it again,
+    so an in-place edit is never lost.
     """
 
-    phi: np.ndarray
+    def __init__(self, phi: np.ndarray) -> None:
+        self._phi: Optional[np.ndarray] = phi
+        self._model: Optional[ModelState] = None
+        self._cells: Optional[np.ndarray] = None
+
+    @classmethod
+    def of_cells(cls, model: ModelState, cells: np.ndarray) -> "RoutingState":
+        """A routing held as ``model``'s cell vector ``cells``."""
+        routing = cls.__new__(cls)
+        routing._phi = None
+        routing._model = model
+        routing._cells = cells
+        return routing
+
+    @property
+    def phi(self) -> np.ndarray:
+        if self._phi is None:
+            self._phi = self._model.edge_table(self._cells)
+            self._model = self._cells = None
+        return self._phi
+
+    @phi.setter
+    def phi(self, phi: np.ndarray) -> None:
+        self._phi = phi
+        self._model = self._cells = None
+
+    def cells(self, model: ModelState) -> np.ndarray:
+        """``phi`` as ``model``'s cell vector (shared: do not write to it)."""
+        if self._model is model:
+            return self._cells
+        return model.edge_cells(self.phi, model.reverse)
+
+    def forward_cells(self, model: ModelState) -> np.ndarray:
+        """``phi`` per entry of ``model``'s forward wave: one gather from
+        either form."""
+        if self._model is model:
+            return self._cells[model.forward_phi]
+        return model.edge_cells(self.phi, model.forward)
 
     def copy(self) -> "RoutingState":
-        return RoutingState(self.phi.copy())
+        if self._phi is None:
+            return RoutingState.of_cells(self._model, self._cells.copy())
+        return RoutingState(self._phi.copy())
 
     def admitted_fraction(self, ext: ExtendedNetwork, j: int) -> float:
         """Fraction of commodity ``j``'s offered load that is admitted."""
@@ -97,19 +143,28 @@ def uniform_routing(ext: ExtendedNetwork) -> RoutingState:
 
 
 def _make_routing(ext: ExtendedNetwork, shed_everything: bool) -> RoutingState:
-    phi = np.zeros((ext.num_commodities, ext.num_edges), dtype=float)
-    for view in ext.commodities:
-        j = view.index
-        for node in view.node_indices:
-            if node == view.sink:
-                continue
-            out = ext.commodity_out_edges[j][node]
-            if not out:
-                continue
-            if shed_everything and node == view.dummy:
-                phi[j, view.difference_edge] = 1.0
-            else:
-                phi[j, out] = 1.0 / len(out)
+    """``1 / out-degree`` on every allowed cell, in one pass over the cells.
+
+    Sinks route nothing, and with ``shed_everything`` each dummy sends its
+    whole load over its difference edge.  ``1.0 / degree`` in float64 is
+    the correctly rounded quotient, like Python's ``1.0 / len(out)``.  The
+    cells are ``ModelState``'s, taken from ``ext.allowed`` directly, so
+    that a start state compiles nothing.
+    """
+    J, E, V = ext.num_commodities, ext.num_edges, ext.num_nodes
+    cell_j, raw = np.nonzero(ext.allowed)
+    tails = cell_j * V + ext.edge_tail[raw]
+    cells = 1.0 / np.bincount(tails, minlength=J * V)[tails]
+    commodity = np.arange(J)
+    sinks = commodity * V + np.array([v.sink for v in ext.commodities], dtype=np.intp)
+    cells[tails == sinks[cell_j]] = 0.0
+    if shed_everything:
+        dummies = commodity * V + ext.commodity_dummies
+        cells[tails == dummies[cell_j]] = 0.0
+    phi = np.zeros((J, E), dtype=float)
+    phi[cell_j, raw] = cells
+    if shed_everything:
+        phi[commodity, ext.commodity_difference_edges] = 1.0
     return RoutingState(phi)
 
 
@@ -182,14 +237,16 @@ def solve_traffic(ext: ExtendedNetwork, routing: RoutingState) -> np.ndarray:
     each extended node.  Exact in one topological pass per commodity because
     the allowed subgraphs are DAGs.
 
-    Runs as ordered ``np.bincount`` sweeps over the depth levels of the
-    cached :class:`~repro.core.state.ModelState`, covering every commodity
-    at once; the sweeps add the scalar walk's contributions in its order,
-    so the result is bit identical to :func:`solve_traffic_scalar`.
+    Gathers the routing's cell vector, runs the forward wave of the cached
+    :class:`~repro.core.state.ModelState` (:meth:`~repro.core.state.
+    ModelState.forward_sweep`, every commodity at once) and scatters the traffic
+    slots into the table.  The sweeps add the scalar walk's contributions
+    in its order, so the result is bit identical to
+    :func:`solve_traffic_scalar`.
     """
-    t = external_inputs(ext)
-    ModelState.of(ext).solve_traffic_into(t.reshape(-1), routing.phi.reshape(-1))
-    return t
+    model = ModelState.of(ext)
+    traffic, _ = model.forward_sweep(routing.forward_cells(model))
+    return model.node_table(traffic, model.forward)
 
 
 def solve_traffic_scalar(ext: ExtendedNetwork, routing: RoutingState) -> np.ndarray:
@@ -266,13 +323,14 @@ def resource_usage(
 
     Computed from the allowed cells only (``O(P + E)`` instead of the dense
     ``O(J * E)`` product) by :meth:`repro.core.state.ModelState.
-    resource_usage`, bit identical to :func:`resource_usage_scalar`.
+    usage_sweep`, bit identical to :func:`resource_usage_scalar`.  Without
+    ``traffic`` the forward wave feeds it ``t * phi`` directly, and no
+    ``(J, V)`` table is built.
     """
+    model = ModelState.of(ext)
     if traffic is None:
-        traffic = solve_traffic(ext, routing)
-    return ModelState.of(ext).resource_usage(
-        routing.phi.reshape(-1), traffic.reshape(-1)
-    )
+        return model.usage_sweep(model.forward_sweep(routing.forward_cells(model))[1])
+    return model.resource_usage(routing.phi.reshape(-1), traffic.reshape(-1))
 
 
 def resource_usage_scalar(
@@ -303,7 +361,9 @@ def admitted_rates(
 ) -> np.ndarray:
     """Admitted rate ``a_j``: the flow over each dummy input link."""
     if traffic is None:
-        traffic = solve_traffic(ext, routing)
+        model = ModelState.of(ext)
+        phi_f = routing.forward_cells(model)
+        return model.admitted(model.forward_sweep(phi_f)[0], phi_f)
     rows = getattr(ext, "_commodity_rows", None)
     if rows is None:
         rows = ext._commodity_rows = np.arange(ext.num_commodities)
@@ -349,7 +409,11 @@ def feasibility_report(
     traffic: Optional[np.ndarray] = None,
     rtol: float = 1e-9,
 ) -> FeasibilityReport:
-    """Evaluate the capacity constraints (eq. (6)) for a routing state."""
+    """Evaluate the capacity constraints (eq. (6)) for a routing state.
+
+    Needs only the node usage: without ``traffic`` it comes straight from
+    the forward wave, and no ``(J, V)`` traffic table is built.
+    """
     __, node_usage = resource_usage(ext, routing, traffic)
     finite = np.isfinite(ext.capacity)
     utilization = utilization_profile(node_usage, ext.capacity)

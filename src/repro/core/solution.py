@@ -106,18 +106,22 @@ def build_solution(
     iterations: Optional[int] = None,
     extras: Optional[Dict[str, object]] = None,
     traffic: Optional[np.ndarray] = None,
+    usage: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Solution:
     """Assemble a :class:`Solution` from a routing state.
 
-    ``traffic`` accepts the flow-balance solution of ``routing`` when the
-    caller already holds it (e.g. from an :class:`~repro.core.context.
-    IterationContext`), avoiding a redundant :func:`solve_traffic`.
+    ``traffic`` and ``usage`` (an ``(edge_usage, node_usage)`` pair) accept
+    the flow-balance solution of ``routing`` and its resource usage when
+    the caller already holds them (e.g. from an :class:`~repro.core.context.
+    IterationContext`), avoiding a redundant flow solve and usage pass.
     """
     if traffic is None:
         traffic = solve_traffic(ext, routing)
-    breakdown = evaluate_cost(ext, routing, cost_model, traffic)
+    if usage is None:
+        usage = resource_usage(ext, routing, traffic)
     # keep usage handy for analysis without recomputation
-    edge_usage, node_usage = resource_usage(ext, routing, traffic)
+    edge_usage, node_usage = usage
+    breakdown = evaluate_cost(ext, routing, cost_model, traffic, usage=usage)
     merged: Dict[str, object] = {
         "edge_usage": edge_usage,
         "node_usage": node_usage,

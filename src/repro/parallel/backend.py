@@ -32,12 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.blocking import compute_all_blocked_sets
-from repro.core.context import (
-    IterationContext,
-    build_iteration_context,
-    derive_marginals,
-)
+from repro.core.context import IterationContext, build_iteration_context
 from repro.core.gradient import GradientConfig, apply_gamma_batch
 from repro.core.marginals import evaluate_cost, link_cost_derivative
 from repro.core.routing import RoutingState, resource_usage
@@ -65,7 +60,9 @@ class SerialBackend:
     by the algorithm that owns it, then asked for the two halves of an
     iteration: :meth:`build_context` (the flow solve and everything derived
     from it) and :meth:`step` (one application of the update map
-    ``Gamma``).
+    ``Gamma``).  Both run on the cell layout of the network's
+    :class:`~repro.core.state.ModelState`: the routings and contexts they
+    return hold cell vectors and build their dense tables only when read.
     """
 
     # how many iterations the backend may run between global ``dadf``
@@ -111,6 +108,12 @@ class SerialBackend:
         context: Optional[IterationContext] = None,
         instrumentation: Any = None,
     ) -> RoutingState:
+        """One application of ``Gamma`` on the routing's cell vector.
+
+        Allocates only cell- and slot-sized vectors.  A ``context`` built
+        from tables (a batch-final one, or one built by hand) is gathered
+        onto the cells once, here.
+        """
         ext = self._ext
         cfg = self._config
         inst = instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
@@ -118,40 +121,36 @@ class SerialBackend:
             eta = cfg.eta
         if context is None:
             context = self.build_context(routing, instrumentation=instrumentation)
-        dadr, delta = context.dadr, context.delta
+        model = ModelState.of(ext)
+        phi = routing.cells(model)
+        cells = context.cell_vectors(model)
+        dadr, delta = cells.dadr, cells.delta
         if delta is None:
             # a batch-final context (ParallelBackend.advance) carries traffic
             # and dadf only: finish the derivative chain without a flow solve
             with inst.phase("derivatives"):
-                dadr, delta = derive_marginals(ext, routing, context.dadf)
-        new_phi = routing.phi.copy()
+                dadr, delta = model.reverse_sweep(phi, context.dadf)
 
-        blocked: Optional[np.ndarray]
+        blocked: Optional[np.ndarray] = None
         if cfg.use_blocking:
+            # an empty blocked set comes back as None, which the Gamma
+            # kernel takes as its cheaper unblocked path
             with inst.phase("blocking"):
-                blocked = compute_all_blocked_sets(
-                    ext, routing, context.traffic, dadr, delta, eta
-                ).reshape(-1)
-            if not blocked.any():
-                # an empty blocked set is indistinguishable from no blocking;
-                # let the kernel take its cheaper unblocked path
-                blocked = None
-        else:
-            blocked = None
-        # one kernel call for every commodity: the plan's flattened
-        # (j*V + v, j*E + e) ids index the raveled views below
+                blocked = model.blocked_sweep(phi, cells.traffic, dadr, delta, eta)
+        # one kernel call for every commodity, on the plan whose targets
+        # index the cell vectors and whose nodes the traffic slots
         with inst.phase("gamma"):
+            new_phi = phi.copy()
             apply_gamma_batch(
-                new_phi.reshape(-1),
-                ModelState.of(ext).gamma_plan,
-                context.traffic.reshape(-1),
-                delta.reshape(-1),
+                new_phi,
+                model.gamma_cells,
+                cells.traffic,
+                delta,
                 blocked,
                 eta,
                 cfg.traffic_tol,
             )
-
-        return RoutingState(new_phi)
+        return RoutingState.of_cells(model, new_phi)
 
     def advance(
         self,

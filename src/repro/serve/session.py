@@ -42,7 +42,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.commodity import StreamNetwork
 from repro.core.delta import apply_delta, carry_routing, compile_event
 from repro.core.gradient import GradientAlgorithm, GradientConfig
-from repro.core.routing import feasibility_report, initial_routing
+from repro.core.context import IterationContext
+from repro.core.routing import initial_routing, utilization_profile
 from repro.core.solution import Solution, build_solution
 from repro.core.transform import build_extended_network
 from repro.exceptions import ModelError, ServeError
@@ -155,6 +156,9 @@ class ServeSession:
         self.backend = SerialBackend()
         self.algo = GradientAlgorithm(self.ext, self.config, backend=self.backend)
         self.routing = initial_routing(self.ext)
+        # the refine's last context, which describes self.routing until the
+        # routing is replaced (a delta, a shed or a projection)
+        self._context: Optional[IterationContext] = None
 
         self.refine_iterations = refine_iterations
         self.warmup_iterations = warmup_iterations
@@ -291,10 +295,9 @@ class ServeSession:
         self.inst.gauge("serve.epoch", float(self.ext.epoch))
 
     def _refine(self, iterations: int) -> None:
-        routing, _context = self.backend.advance(
+        self.routing, self._context = self.backend.advance(
             self.routing, None, iterations, eta=self.config.eta
         )
-        self.routing = routing
         self._refined_total += iterations
         self.inst.count("serve.refine_iterations", iterations)
 
@@ -361,12 +364,21 @@ class ServeSession:
         return solution.admitted_by_name
 
     def _audited_solution(self) -> Tuple[Solution, Optional[ValidationReport]]:
+        # the refine's final context already holds the routing's flow
+        # solve and usage; after a projection they are computed afresh
+        context = self._context
+        traffic = usage = None
+        if context is not None and context.routing is self.routing:
+            traffic = context.traffic
+            usage = context.edge_usage, context.node_usage
         solution = build_solution(
             self.ext,
             self.routing,
             self.config.cost_model,
             method="gradient-serve",
             iterations=self._refined_total,
+            traffic=traffic,
+            usage=usage,
         )
         if not self.validate_epochs:
             return solution, None
@@ -407,13 +419,14 @@ class ServeSession:
                     f"({failed}); not published"
                 )
             self._seq += 1
+            utilization = utilization_profile(
+                solution.extras["node_usage"], self.ext.capacity
+            )
             snapshot = EpochSnapshot(
                 epoch=self.current_epoch(),
                 seq=self._seq,
                 utility=solution.utility,
-                max_utilization=feasibility_report(
-                    self.ext, self.routing
-                ).max_utilization,
+                max_utilization=float(utilization.max()),
                 admitted=solution.admitted_by_name,
                 solution=solution,
                 validation=report,

@@ -380,20 +380,18 @@ class TestIterationCache:
         """The whole point of the IterationContext: an N-iteration run solves
         eq. (3) exactly N + 1 times (once per routing state, including the
         start), no matter how many consumers read the result."""
-        import repro.core.context as context_mod
-        import repro.core.routing as routing_mod
-        import repro.core.solution as solution_mod
+        from repro.core.state import ModelState
 
         calls = {"n": 0}
-        real = routing_mod.solve_traffic
+        real = ModelState.forward_sweep
 
-        def counting(ext, routing):
+        def counting(state, phi):
             calls["n"] += 1
-            return real(ext, routing)
+            return real(state, phi)
 
-        monkeypatch.setattr(context_mod, "solve_traffic", counting)
-        monkeypatch.setattr(solution_mod, "solve_traffic", counting)
-        monkeypatch.setattr(routing_mod, "solve_traffic", counting)
+        # every flow solve -- the engine's and solve_traffic's -- is one
+        # forward sweep
+        monkeypatch.setattr(ModelState, "forward_sweep", counting)
 
         iterations = 9
         config = GradientConfig(

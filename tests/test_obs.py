@@ -173,20 +173,18 @@ class TestOverheadContract:
     """Instrumentation is read-only: same work, same numbers, bit for bit."""
 
     def _count_solves(self, monkeypatch):
-        import repro.core.context as context_mod
-        import repro.core.routing as routing_mod
-        import repro.core.solution as solution_mod
+        from repro.core.state import ModelState
 
         calls = {"n": 0}
-        real = routing_mod.solve_traffic
+        real = ModelState.forward_sweep
 
-        def counting(ext, routing):
+        def counting(state, phi):
             calls["n"] += 1
-            return real(ext, routing)
+            return real(state, phi)
 
-        monkeypatch.setattr(context_mod, "solve_traffic", counting)
-        monkeypatch.setattr(solution_mod, "solve_traffic", counting)
-        monkeypatch.setattr(routing_mod, "solve_traffic", counting)
+        # every flow solve -- the engine's and solve_traffic's -- is one
+        # forward sweep
+        monkeypatch.setattr(ModelState, "forward_sweep", counting)
         return calls
 
     def test_no_extra_flow_solves_when_enabled(self, diamond_ext, monkeypatch):

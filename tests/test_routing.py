@@ -26,7 +26,7 @@ from repro.core.routing import (
 from repro.core.routing import solve_traffic_scalar, utilization_profile
 from repro.exceptions import InfeasibleError, RoutingError
 from repro.scenarios import diamond_network, random_stream_network
-from repro.scenarios import RandomNetworkSpec
+from repro.scenarios import RandomNetworkSpec, scenario, scenario_names
 
 
 class TestInitialRouting:
@@ -47,6 +47,35 @@ class TestInitialRouting:
     def test_admitted_rates_zero(self, diamond_ext):
         routing = initial_routing(diamond_ext)
         np.testing.assert_allclose(admitted_rates(diamond_ext, routing), 0.0)
+
+
+def _node_loop_routing(ext, shed_everything):
+    """The start routing as a walk over every commodity's nodes."""
+    phi = np.zeros((ext.num_commodities, ext.num_edges), dtype=float)
+    for view in ext.commodities:
+        j = view.index
+        for node in view.node_indices:
+            if node == view.sink:
+                continue
+            out = ext.commodity_out_edges[j][node]
+            if not out:
+                continue
+            if shed_everything and node == view.dummy:
+                phi[j, view.difference_edge] = 1.0
+            else:
+                phi[j, out] = 1.0 / len(out)
+    return phi
+
+
+class TestStartRoutingsMatchTheNodeLoop:
+    """The one-pass start routings equal the per-node walk bit for bit."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_catalog_scenario(self, name):
+        spec = scenario(name)
+        ext = build_extended_network(spec.topology.build(spec.seed))
+        for build, shed in ((initial_routing, True), (uniform_routing, False)):
+            assert np.array_equal(build(ext).phi, _node_loop_routing(ext, shed))
 
 
 class TestUniformRouting:

@@ -107,12 +107,21 @@ class TestKernelBitIdentity:
         return out
 
     def test_forward_wave(self, ext):
-        for routing, traffic, *_ in self._references(ext):
-            t = external_inputs(ext)
-            ModelState.of(ext).solve_traffic_into(
-                t.reshape(-1), routing.phi.reshape(-1)
+        state = ModelState.of(ext)
+        for routing, traffic, edge_usage, node_usage, *_ in self._references(ext):
+            phi = state.edge_cells(routing.phi, state.forward)
+            t, tp = state.forward_sweep(phi)
+            assert np.array_equal(t, state.node_slots(traffic, state.forward))
+            assert np.array_equal(state.node_table(t, state.forward), traffic)
+            eu, nu = state.usage_sweep(tp)
+            assert np.array_equal(eu, edge_usage)
+            assert np.array_equal(nu, node_usage)
+            rows = np.arange(ext.num_commodities)
+            assert np.array_equal(
+                state.admitted(t, phi),
+                traffic[rows, ext.commodity_dummies]
+                * routing.phi[rows, ext.commodity_input_edges],
             )
-            assert np.array_equal(t, traffic)
 
     def test_usage(self, ext):
         for routing, traffic, edge_usage, node_usage, *_ in self._references(ext):
@@ -123,9 +132,13 @@ class TestKernelBitIdentity:
             assert np.array_equal(nu, node_usage)
 
     def test_reverse_wave(self, ext):
-        for routing, _t, _eu, _nu, dadf, dadr, _d in self._references(ext):
-            got = ModelState.of(ext).marginal_costs(routing.phi.reshape(-1), dadf)
-            assert np.array_equal(got, dadr)
+        state = ModelState.of(ext)
+        for routing, _t, _eu, _nu, dadf, dadr, delta in self._references(ext):
+            phi = state.edge_cells(routing.phi, state.reverse)
+            got, got_delta = state.reverse_sweep(phi, dadf)
+            assert np.array_equal(got, state.node_slots(dadr, state.reverse))
+            assert np.array_equal(state.node_table(got, state.reverse), dadr)
+            assert np.array_equal(got_delta, state.edge_cells(delta, state.reverse))
 
     def _assert_blocked_sets_tile(self, ext, routing, traffic, dadr, delta):
         """Full-width and per-commodity blocked sets equal the scalar rows."""
@@ -220,6 +233,117 @@ def test_wide_fixture_has_pairwise_width_rows(wide_random_ext):
     assert np.bincount(state.gamma_plan.cell_rows).max() >= 8
 
 
+class TestCellResidentEngine:
+    """The serial engine iterates on cell vectors and builds a dense table
+    only when a caller reads it."""
+
+    def _algo(self, ext):
+        from repro.core.gradient import GradientAlgorithm
+
+        return GradientAlgorithm(ext, GradientConfig(eta=ETA))
+
+    def test_advance_builds_no_dense_table(self, small_random_ext, monkeypatch):
+        from repro.core.routing import RoutingState, initial_routing
+
+        ext = small_random_ext
+        algo = self._algo(ext)
+        start = RoutingState(initial_routing(ext).phi.copy())
+        state = ModelState.of(ext)
+        built = []
+        for name in ("edge_table", "node_table"):
+            real = getattr(ModelState, name)
+
+            def spy(self, *args, _real=real, _name=name):
+                built.append(_name)
+                return _real(self, *args)
+
+            monkeypatch.setattr(ModelState, name, spy)
+        routing, context = algo.backend.advance(start, None, 12)
+        assert built == []
+        # the tables appear on first read, once
+        assert routing.phi is routing.phi
+        assert context.traffic is context.traffic
+        assert context.delta is context.delta
+        assert context.dadr is context.dadr
+        assert built == ["edge_table", "node_table", "edge_table", "node_table"]
+        assert state.num_cells < ext.num_commodities * ext.num_edges
+
+    def test_an_edit_of_a_read_phi_is_what_the_next_step_sees(self, small_random_ext):
+        from repro.core.routing import RoutingState, initial_routing
+
+        ext = small_random_ext
+        algo = self._algo(ext)
+        routing = initial_routing(ext)
+        context = algo.compute_context(routing)
+        for _ in range(20):
+            routing = algo.step(routing, context=context)
+            context = algo.compute_context(routing)
+        # admit half of what the dummies shed: a valid routing, moved
+        phi = routing.phi
+        rows = np.arange(ext.num_commodities)
+        phi[rows, ext.commodity_input_edges] += (
+            0.5 * phi[rows, ext.commodity_difference_edges]
+        )
+        phi[rows, ext.commodity_difference_edges] *= 0.5
+        dense = RoutingState(phi.copy())
+        # a stale context, built before the edit, and a fresh one
+        assert np.array_equal(
+            algo.step(routing, context=context).phi,
+            algo.step(dense, context=context).phi,
+        )
+        assert np.array_equal(algo.step(routing).phi, algo.step(dense).phi)
+        edited = algo.compute_context(routing)
+        assert edited.breakdown.utility == algo.compute_context(dense).breakdown.utility
+        assert edited.breakdown.utility != context.breakdown.utility
+
+    def test_dense_views_equal_the_per_equation_functions(self, ext_any):
+        from repro.core.context import derive_marginals
+        from repro.core.marginals import all_marginal_costs, evaluate_cost
+        from repro.core.routing import resource_usage, solve_traffic
+
+        ext = ext_any
+        algo = self._algo(ext)
+        for routing in (converged_routing(ext), random_routing(ext, seed=3)):
+            # an engine-built routing, and a dense one
+            for routing in (algo.step(routing), routing):
+                ctx = algo.compute_context(routing)
+                traffic = solve_traffic(ext, routing)
+                assert np.array_equal(ctx.traffic, traffic)
+                usage = resource_usage(ext, routing)
+                assert np.array_equal(ctx.edge_usage, usage[0])
+                assert np.array_equal(ctx.node_usage, usage[1])
+                assert np.array_equal(resource_usage(ext, routing, traffic)[1], usage[1])
+                cost = evaluate_cost(ext, routing, CostModel())
+                assert (cost.utility, cost.total) == (
+                    ctx.breakdown.utility, ctx.breakdown.total
+                )
+                assert np.array_equal(ctx.breakdown.admitted, cost.admitted)
+                dadr = all_marginal_costs(ext, routing, ctx.dadf)
+                assert np.array_equal(ctx.dadr, dadr)
+                delta = ModelState.of(ext).edge_marginals_dense(
+                    ctx.dadf, dadr.reshape(-1)
+                )
+                assert np.array_equal(ctx.delta, delta)
+                for got, want in zip(derive_marginals(ext, routing, ctx.dadf), (dadr, delta)):
+                    assert np.array_equal(got, want)
+                blocked = compute_all_blocked_sets(
+                    ext, routing, ctx.traffic, ctx.dadr, ctx.delta, ETA
+                )
+                expected = np.stack(
+                    [
+                        compute_blocked_sets_scalar(
+                            ext, j, routing, traffic, dadr[j], delta[j], ETA
+                        )
+                        for j in range(ext.num_commodities)
+                    ]
+                )
+                assert np.array_equal(blocked, expected)
+
+    @pytest.fixture(params=["figure4_ext", "wide_random_ext"])
+    def ext_any(self, request):
+        return request.getfixturevalue(request.param)
+
+
 class TestEndToEndIdentity:
     def test_compare_reference_oracle(self):
         from repro.scenarios import paper_figure4_network
@@ -232,6 +356,36 @@ class TestEndToEndIdentity:
         assert report.bit_identical
         assert report.passed
         assert report.extras["diverged_at"] is None
+
+    def test_compare_reference_on_the_250_rung_with_blocking(self, monkeypatch):
+        """The 250 x 8 scale-ladder rung, run past the onset of blocking:
+        eta 0.16 first blocks at iteration 113."""
+        from repro.scenarios import RandomNetworkSpec, random_stream_network
+
+        network = random_stream_network(
+            RandomNetworkSpec(
+                num_nodes=250,
+                num_commodities=8,
+                depth_range=(4, 6),
+                layer_width_range=(7, 9),
+                extra_edge_probability=0.1,
+            ),
+            seed=29,
+        )
+        blocked = []
+        real = ModelState.blocked_sweep
+
+        def spy(self, *args):
+            result = real(self, *args)
+            blocked.append(result is not None)
+            return result
+
+        monkeypatch.setattr(ModelState, "blocked_sweep", spy)
+        report = DifferentialOracle().compare_reference(
+            network, iterations=200, config=GradientConfig(eta=0.16, max_iterations=200)
+        )
+        assert report.bit_identical, report.extras
+        assert sum(blocked) >= 40
 
     def test_compare_reference_flags_a_divergent_step(self, monkeypatch):
         from repro.core.gradient import GradientAlgorithm

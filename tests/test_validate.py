@@ -198,20 +198,18 @@ class TestSolveWiring:
                 assert check[key] is None or isinstance(check[key], float)
 
     def test_validate_false_adds_no_flow_solves(self, monkeypatch, figure1_ext):
-        import repro.core.context as context_mod
-        import repro.core.routing as routing_mod
-        import repro.core.solution as solution_mod
+        from repro.core.state import ModelState
 
         calls = {"n": 0}
-        real = routing_mod.solve_traffic
+        real = ModelState.forward_sweep
 
-        def counting(ext, routing):
+        def counting(state, phi):
             calls["n"] += 1
-            return real(ext, routing)
+            return real(state, phi)
 
-        monkeypatch.setattr(context_mod, "solve_traffic", counting)
-        monkeypatch.setattr(solution_mod, "solve_traffic", counting)
-        monkeypatch.setattr(routing_mod, "solve_traffic", counting)
+        # every flow solve -- the engine's and solve_traffic's -- is one
+        # forward sweep
+        monkeypatch.setattr(ModelState, "forward_sweep", counting)
 
         config = GradientConfig(eta=0.04, max_iterations=25, record_every=5)
         GradientAlgorithm(figure1_ext, config).run()
